@@ -1,41 +1,35 @@
-// Engine throughput: rounds/sec vs. worker count, shard salting, and
-// aggregation batch size.
+// Engine throughput: rounds/sec vs. worker count, and the shared verify
+// context vs. stateless RSA verification.
 //
 // Workload: `--rounds=N` precomputed (prover, prefix, epoch) minimum-
 // operator rounds (default 10000: 25 prefixes x 400 epochs, 3 providers,
 // RSA-512 to keep the single-machine run short). Every 7th round injects a
 // Byzantine prover so the Evidence stream is non-trivial; the drained
-// evidence must be byte-identical across worker counts AND sharding modes
-// (the engine's determinism contract).
+// evidence must be byte-identical across worker counts and submission
+// keys (the engine's determinism contract).
 //
-// Four measurements:
+// Three measurements:
 //   1. worker sweep  — full round verification through the engine at
 //      1/2/4/8 workers, rounds spread over 25 prefixes (cross-round
 //      parallelism; thread-level speedup tracks physical cores);
 //   1b. intra sweep  — the same closures submitted under ONE hot
-//      (prover, prefix): unsalted sharding pins them all to a single
-//      shard/worker (the pre-salting speedup_8v1 = 0.97 behavior); salted
-//      sharding spreads them, yielding speedup_8v1_intra on multi-core
-//      hosts;
-//   2. aggregation   — bundle authentications/sec when the prover signs one
-//      Merkle root per epoch instead of one bundle per prefix (algorithmic
-//      speedup, independent of core count);
-//   3. batch verify  — BatchVerifier vs. per-message verify_message on
-//      same-signer reveal batches.
+//      (prover, prefix): the FIFO queue must not serialize them, so
+//      speedup_8v1_intra tracks speedup_8v1 on multi-core hosts;
+//   2. verify context — per-message verify_message through the shared
+//      VerifyContext vs. stateless crypto::rsa_verify on the same reveals.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/pvr_speaker.h"
 #include "crypto/sha256.h"
-#include "engine/batch_verifier.h"
 #include "engine/verification_engine.h"
 
 namespace pvr::bench {
@@ -147,14 +141,12 @@ struct SweepResult {
   std::string digest;
 };
 
-// Drains every round through one engine. When `hot_id` is set, every
+// Drains every round through one engine. When `hot_key` is set, every
 // submission is keyed by that single (prover, prefix) with epoch = index —
-// the hot-prefix case salting exists for (the closures are unchanged, only
-// shard placement differs).
+// the hot-prefix case (the closures are unchanged, only their keys differ).
 [[nodiscard]] SweepResult run_sweep(const Workload& w, std::size_t workers,
-                                    bool salt_shards, bool hot_key) {
-  engine::VerificationEngine engine(
-      {.workers = workers, .salt_shards = salt_shards}, &w.keys.directory);
+                                    bool hot_key) {
+  engine::VerificationEngine engine({.workers = workers}, &w.keys.directory);
   const double t0 = now_seconds();
   for (std::size_t r = 0; r < w.rounds.size(); ++r) {
     const Round& round = w.rounds[r];
@@ -203,8 +195,7 @@ int main(int argc, char** argv) {
   double rps_at_8 = 0;
   bool deterministic = true;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const SweepResult result =
-        run_sweep(w, workers, /*salt_shards=*/true, /*hot_key=*/false);
+    const SweepResult result = run_sweep(w, workers, /*hot_key=*/false);
     if (workers == 1) {
       digest_at_1 = result.digest;
       rps_at_1 = result.rounds_per_sec;
@@ -230,127 +221,39 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency());
 
   // --- 1b. Intra-round sweep: every submission under ONE (prover, prefix) ---
-  // Unsalted, a hot key serializes on one shard however many workers exist;
-  // salted shard keys spread the same tasks across the pool. Identical
-  // closures and submission order, so the digest must not move either.
+  // The FIFO queue ignores keys, so a hot key spreads across the pool like
+  // any other. Identical closures and submission order, so the digest must
+  // not move either.
   std::printf("%-22s %-10s %-12s %-9s\n", "intra (hot prefix)", "workers",
               "rounds/sec", "speedup");
-  const SweepResult unsalted_hot_8 =
-      run_sweep(w, 8, /*salt_shards=*/false, /*hot_key=*/true);
-  const SweepResult salted_hot_1 =
-      run_sweep(w, 1, /*salt_shards=*/true, /*hot_key=*/true);
-  const SweepResult salted_hot_8 =
-      run_sweep(w, 8, /*salt_shards=*/true, /*hot_key=*/true);
-  const double rps_intra_1 = salted_hot_1.rounds_per_sec;
-  const double rps_intra_8 = salted_hot_8.rounds_per_sec;
-  std::printf("%-22s %-10d %-12.1f %-9.2f\n", "unsalted (pinned)", 8,
-              unsalted_hot_8.rounds_per_sec,
-              unsalted_hot_8.rounds_per_sec / rps_intra_1);
-  std::printf("%-22s %-10d %-12.1f %-9.2f\n", "salted", 1, rps_intra_1, 1.0);
-  std::printf("%-22s %-10d %-12.1f %-9.2f\n\n", "salted", 8, rps_intra_8,
+  const SweepResult hot_1 = run_sweep(w, 1, /*hot_key=*/true);
+  const SweepResult hot_8 = run_sweep(w, 8, /*hot_key=*/true);
+  const double rps_intra_1 = hot_1.rounds_per_sec;
+  const double rps_intra_8 = hot_8.rounds_per_sec;
+  std::printf("%-22s %-10d %-12.1f %-9.2f\n", "hot", 1, rps_intra_1, 1.0);
+  std::printf("%-22s %-10d %-12.1f %-9.2f\n\n", "hot", 8, rps_intra_8,
               rps_intra_8 / rps_intra_1);
-  struct IntraRow {
-    const char* variant;
-    int workers;
-    const SweepResult* result;
-  };
-  for (const IntraRow& row :
-       {IntraRow{"unsalted", 8, &unsalted_hot_8},
-        IntraRow{"salted", 1, &salted_hot_1},
-        IntraRow{"salted", 8, &salted_hot_8}}) {
-    if (row.result->digest != digest_at_1) deterministic = false;
+  for (const auto& [workers, result] :
+       {std::pair{1, &hot_1}, std::pair{8, &hot_8}}) {
+    if (result->digest != digest_at_1) deterministic = false;
     std::printf("{\"bench\":\"engine_sweep_intra\",\"seed\":%llu,"
-                "\"variant\":\"%s\",\"workers\":%d,\"rounds_per_sec\":%.1f,"
-                "\"hw_threads\":%u}\n",
-                static_cast<unsigned long long>(args.seed), row.variant,
-                row.workers, row.result->rounds_per_sec,
-                std::thread::hardware_concurrency());
+                "\"workers\":%d,\"rounds_per_sec\":%.1f,\"hw_threads\":%u}\n",
+                static_cast<unsigned long long>(args.seed), workers,
+                result->rounds_per_sec, std::thread::hardware_concurrency());
   }
 
-  // --- 2. Merkle-aggregated bundle mode ------------------------------------
-  // Naive (batch=1): one signed bundle per (prefix, epoch) -> one RSA verify
-  // per round. Aggregated: within each epoch the prover signs one Merkle
-  // root per group of `batch` prefixes and reveals each prefix with a
-  // log-size proof -> one RSA verify per group. Groups never span epochs
-  // (the (prover, epoch) binding is part of the signed statement).
-  std::printf("%-8s %-14s %-12s %-9s\n", "batch", "bundle_auths", "auths/sec",
-              "speedup");
-  std::vector<core::CommitmentBundle> bundles;
-  bundles.reserve(rounds);
-  for (const Round& round : w.rounds) {
-    bundles.push_back(
-        core::CommitmentBundle::decode(round.result.signed_bundle.payload));
-  }
-  double naive_aps = 0;
-  double agg_aps_best = 0;
-  for (const std::size_t batch : {1u, 5u, 25u}) {
-    std::size_t auths = 0;
-    std::size_t failures = 0;
-    double elapsed = 0;
-    if (batch == 1) {
-      const double t0 = now_seconds();
-      for (const Round& round : w.rounds) {
-        if (!core::verify_message(w.keys.directory, round.result.signed_bundle)) {
-          failures += 1;
-        }
-        auths += 1;
-      }
-      elapsed = now_seconds() - t0;
-    } else {
-      // Prover side (untimed): per epoch, aggregate each `batch`-prefix
-      // group into one signed Merkle root.
-      std::vector<std::pair<core::SignedMessage,
-                            std::vector<engine::AggregatedOpening>>>
-          groups;
-      for (std::size_t epoch_start = 0; epoch_start < bundles.size();
-           epoch_start += kPrefixes) {
-        const std::uint64_t epoch = 1 + epoch_start / kPrefixes;
-        const std::size_t epoch_count =
-            std::min(kPrefixes, bundles.size() - epoch_start);
-        for (std::size_t offset = 0; offset < epoch_count; offset += batch) {
-          const std::size_t count = std::min(batch, epoch_count - offset);
-          engine::AggregatedCommitment commitment = engine::aggregate_bundles(
-              w.prover, epoch,
-              std::span(bundles).subspan(epoch_start + offset, count),
-              w.keys.private_keys.at(w.prover).priv);
-          groups.emplace_back(std::move(commitment.signed_root),
-                              std::move(commitment.openings));
-        }
-      }
-      const double t0 = now_seconds();
-      for (const auto& [signed_root, openings] : groups) {
-        const std::vector<bool> ok = engine::verify_aggregated_openings(
-            w.keys.directory, signed_root, openings);
-        for (const bool valid : ok) {
-          if (!valid) failures += 1;
-          auths += 1;
-        }
-      }
-      elapsed = now_seconds() - t0;
-    }
-    const double aps = static_cast<double>(auths) / elapsed;
-    if (batch == 1) naive_aps = aps;
-    agg_aps_best = std::max(agg_aps_best, aps);
-    std::printf("%-8zu %-14zu %-12.0f %-9.2f%s\n", batch, auths, aps,
-                aps / naive_aps, failures == 0 ? "" : "  FAILURES!");
-  }
-  std::printf("\n");
-
-  // --- 3. Stateless vs shared-context vs batched verification ---------------
+  // --- 2. Stateless vs shared-context verification -------------------------
   //
-  // Three measurements over the same signed reveals:
+  // Two measurements over the same signed reveals:
   //   stateless — crypto::rsa_verify, which rebuilds the per-key Montgomery
   //               context on EVERY call (the pre-context cost model);
   //   shared    — core::verify_message through the directory's
   //               VerifyContext (per-key precompute built once) — this is
   //               what engine workers and nodes actually pay, and the
-  //               verifies_per_sec the regression gate tracks;
-  //   batched   — engine::BatchVerifier over the shared context, messages
-  //               grouped by signer per drain batch.
-  // batch_speedup = batched / stateless: the honest end-to-end win of the
-  // amortized path over per-call setup. Before the shared context, the
-  // "batched" loop redid the same per-call work and the ratio pinned at
-  // ~1.0 — the no-op batching this section now exists to catch.
+  //               verifies_per_sec the regression gate tracks.
+  // context_speedup = shared / stateless: the win of the shared context
+  // over per-call setup, which the regression gate floors so the context
+  // can never quietly cost more than it saves.
   std::vector<core::SignedMessage> reveals;
   for (const Round& round : w.rounds) {
     for (const auto& [provider, reveal] : round.result.provider_reveals) {
@@ -367,11 +270,8 @@ int main(int argc, char** argv) {
 
   double stateless_vps = 0;
   double shared_vps = 0;
-  double batched_vps = 0;
   std::size_t valid_stateless = 0;
   std::size_t valid_single = 0;
-  std::size_t valid_batch = 0;
-  engine::BatchVerifier batch_verifier(&w.keys.directory);
   const double per_pass = static_cast<double>(reveals.size()) * reps;
   for (std::size_t pass = 0; pass < kPasses; ++pass) {
     const double t_stateless = now_seconds();
@@ -397,24 +297,14 @@ int main(int argc, char** argv) {
       }
     }
     shared_vps = std::max(shared_vps, per_pass / (now_seconds() - t_single));
-
-    const double t_batch = now_seconds();
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      const std::vector<bool> batch_results = batch_verifier.verify(reveals);
-      for (const bool ok : batch_results) valid_batch += ok ? 1 : 0;
-    }
-    batched_vps = std::max(batched_vps, per_pass / (now_seconds() - t_batch));
   }
 
-  const double batch_speedup = batched_vps / stateless_vps;
-  const bool verdicts_agree =
-      valid_single == valid_batch && valid_stateless == valid_single;
-  std::printf("batch verifier: %zu reveals x%zu x%zu passes  stateless %.0f/s  "
-              "shared-ctx %.0f/s  batched %.0f/s  batch_speedup %.2f  "
-              "(results %s)\n\n",
+  const double context_speedup = shared_vps / stateless_vps;
+  const bool verdicts_agree = valid_stateless == valid_single;
+  std::printf("verify context: %zu reveals x%zu x%zu passes  stateless %.0f/s  "
+              "shared-ctx %.0f/s  context_speedup %.2f  (results %s)\n\n",
               reveals.size(), reps, kPasses, stateless_vps, shared_vps,
-              batched_vps, batch_speedup,
-              verdicts_agree ? "identical" : "DIVERGED!");
+              context_speedup, verdicts_agree ? "identical" : "DIVERGED!");
 
   // Crypto profile row (ROADMAP item 3: profile before accelerating).
   // verifies_per_sec is wall-clock measured over the shared-context loop
@@ -422,12 +312,12 @@ int main(int argc, char** argv) {
   // crypto.* wall histograms and read 0 in that flavor.
   const obs::HotMetrics& hot = obs::MetricsRegistry::global().hot;
   std::printf("{\"bench\":\"crypto_profile\",\"seed\":%llu,"
-              "\"verifies_per_sec\":%.1f,\"batched_verifies_per_sec\":%.1f,"
-              "\"stateless_verifies_per_sec\":%.1f,\"batch_speedup\":%.2f,"
+              "\"verifies_per_sec\":%.1f,"
+              "\"stateless_verifies_per_sec\":%.1f,\"context_speedup\":%.2f,"
               "\"rsa_verify_p50_us\":%llu,\"rsa_verify_p99_us\":%llu,"
               "\"mulmod_p99_us\":%llu,\"hw_threads\":%u}\n",
               static_cast<unsigned long long>(args.seed),
-              shared_vps, batched_vps, stateless_vps, batch_speedup,
+              shared_vps, stateless_vps, context_speedup,
               static_cast<unsigned long long>(
                   hot.crypto_rsa_verify_us.quantile(0.5)),
               static_cast<unsigned long long>(
@@ -442,12 +332,11 @@ int main(int argc, char** argv) {
               "\"rounds_per_sec_1w_intra\":%.1f,"
               "\"rounds_per_sec_8w_intra\":%.1f,"
               "\"speedup_8v1_intra\":%.2f,"
-              "\"deterministic\":%s,"
-              "\"agg_speedup\":%.2f,\"hw_threads\":%u}\n",
+              "\"deterministic\":%s,\"hw_threads\":%u}\n",
               static_cast<unsigned long long>(args.seed), rounds, rps_at_1,
               rps_at_8, rps_at_8 / rps_at_1, rps_intra_1,
               rps_intra_8, rps_intra_8 / rps_intra_1,
-              deterministic ? "true" : "false", agg_aps_best / naive_aps,
+              deterministic ? "true" : "false",
               std::thread::hardware_concurrency());
   pvr::bench::emit_obs_snapshot("engine_throughput");
   return deterministic && verdicts_agree ? 0 : 1;

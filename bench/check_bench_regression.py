@@ -7,7 +7,7 @@ Rules (exit 1 on any violation):
   1. every per-bench metadata line in the fresh run ({"bench": ..., "ok": ...})
      must carry ok == true — a crashing bench is a regression by itself;
   2. the fresh engine_throughput row must report deterministic == true
-     (Evidence diverged across worker counts / sharding modes — a
+     (Evidence diverged across worker counts / submission keys — a
      correctness failure, not a perf number);
   3. every throughput field listed in THROUGHPUT_KEYS that appears in BOTH
      the baseline and the fresh engine_throughput rows must not drop more
@@ -46,21 +46,21 @@ Rules (exit 1 on any violation):
      inequality: pipelining hid verification time behind the simulation);
   9. whenever the fresh run has an engine_throughput row it must also carry
      the crypto_profile row with BOTH a verifies_per_sec and a
-     batch_speedup field (ROADMAP item 3's profile-first gate — a missing
-     row or field means the crypto profile, or the batched-vs-stateless
-     comparison that keeps batching honest, fell out of the bench). The
-     batch_speedup ratio (batched throughput / per-call-context-rebuild
-     throughput, best-of-passes so it is noise-robust) must be at least
-     --min-batch-speedup (default 0.9): it is host-relative, so the gate
-     only demands that the grouped batch path not PESSIMIZE verification —
-     the regression that motivated the field was a batch loop quietly
-     redoing per-call work. verifies_per_sec is then gated against the
-     baseline: when the baseline's crypto_profile predates batch_speedup
-     (i.e. predates the Montgomery refactor), the fresh value must clear a
-     STEP gate of --min-vps-step x baseline (default 2.0 — the refactor's
-     promised speedup, not a mere no-regression bound); once the baseline
-     itself carries batch_speedup the ordinary (1 - --max-regression)
-     floor applies;
+     context_speedup field (ROADMAP item 3's profile-first gate — a missing
+     row or field means the crypto profile, or the shared-vs-stateless
+     comparison that keeps the verify context honest, fell out of the
+     bench). The context_speedup ratio (shared VerifyContext throughput /
+     stateless rsa_verify throughput, which rebuilds the per-key context on
+     every call; best-of-passes so it is noise-robust) must be at least
+     --min-context-speedup (default 0.9): it is host-relative, so the gate
+     only demands that the shared context not PESSIMIZE verification.
+     verifies_per_sec is then gated against the baseline: when the
+     baseline's crypto_profile carries neither context_speedup nor its
+     predecessor batch_speedup (i.e. predates the Montgomery refactor), the
+     fresh value must clear a STEP gate of --min-vps-step x baseline
+     (default 2.0 — the refactor's promised speedup, not a mere
+     no-regression bound); once the baseline carries either field the
+     ordinary (1 - --max-regression) floor applies;
   10. whenever the fresh run has a scenarios sweep it must carry the
      multiprocess deployment row ({"bench": "scenarios_mp"}), and that row
      must report fingerprint_parity == true AND
@@ -69,7 +69,7 @@ Rules (exit 1 on any violation):
      reproduced the single-process SIM-domain metrics fingerprint
      (DESIGN.md §14).
 
-Speedup ratios (speedup_8v1, speedup_8v1_intra, agg_speedup) are gated
+Speedup ratios (speedup_8v1, speedup_8v1_intra) are gated
 ONLY when BOTH the fresh and baseline engine_throughput rows report
 hw_threads > 1: they depend on the runner's core count, and the 1-core
 container that produces some baselines would make any ratio gate
@@ -117,13 +117,14 @@ def main():
     parser.add_argument("baseline", help="committed BENCH_pr*.json baseline")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="max allowed fractional throughput drop")
-    parser.add_argument("--min-batch-speedup", type=float, default=0.9,
-                        help="floor for crypto_profile.batch_speedup "
-                             "(batched vs per-call-rebuild verification)")
+    parser.add_argument("--min-context-speedup", type=float, default=0.9,
+                        help="floor for crypto_profile.context_speedup "
+                             "(shared context vs per-call-rebuild "
+                             "verification)")
     parser.add_argument("--min-vps-step", type=float, default=2.0,
                         help="required verifies_per_sec multiple over a "
                              "baseline whose crypto_profile predates "
-                             "batch_speedup (the Montgomery step gate)")
+                             "context_speedup (the Montgomery step gate)")
     args = parser.parse_args()
 
     fresh = load_rows(args.fresh)
@@ -149,7 +150,7 @@ def main():
     else:
         if fresh_engine.get("deterministic") is not True:
             failures.append("engine_throughput reported deterministic:false — "
-                            "Evidence diverged across workers/sharding modes")
+                            "Evidence diverged across workers/submission keys")
         if baseline_engine is not None:
             for key in THROUGHPUT_KEYS:
                 if key not in fresh_engine or key not in baseline_engine:
@@ -310,8 +311,8 @@ def main():
                   f"(hw_threads == {row.get('hw_threads')!r}); "
                   f"overlap ratio {ratio:.4f} gated instead")
 
-    # 9. Crypto profile: verifies_per_sec AND batch_speedup must ride along
-    # with every engine_throughput run. batch_speedup is gated by an
+    # 9. Crypto profile: verifies_per_sec AND context_speedup must ride along
+    # with every engine_throughput run. context_speedup is gated by an
     # absolute host-relative floor; verifies_per_sec is step-gated against
     # pre-Montgomery baselines and regression-bounded afterwards.
     if fresh_engine is not None:
@@ -322,28 +323,29 @@ def main():
                 "row with verifies_per_sec — the crypto profile fell out of "
                 "the bench (ROADMAP item 3)")
         else:
-            speedup = fresh_profile.get("batch_speedup")
+            speedup = fresh_profile.get("context_speedup")
             if speedup is None:
                 failures.append(
-                    "crypto_profile carries no batch_speedup field — the "
-                    "batched-vs-stateless comparison that keeps batching "
-                    "honest fell out of the bench")
+                    "crypto_profile carries no context_speedup field — the "
+                    "shared-vs-stateless comparison that keeps the verify "
+                    "context honest fell out of the bench")
             else:
-                verdict = ("ok" if speedup >= args.min_batch_speedup
+                verdict = ("ok" if speedup >= args.min_context_speedup
                            else "REGRESSION")
-                print(f"batch_speedup: fresh {speedup:.2f} "
-                      f"(floor {args.min_batch_speedup:.2f}) {verdict}")
-                if speedup < args.min_batch_speedup:
+                print(f"context_speedup: fresh {speedup:.2f} "
+                      f"(floor {args.min_context_speedup:.2f}) {verdict}")
+                if speedup < args.min_context_speedup:
                     failures.append(
-                        f"batch_speedup {speedup:.2f} < floor "
-                        f"{args.min_batch_speedup:.2f} — the grouped batch "
-                        "path is slower than rebuilding the per-key context "
-                        "on every call")
+                        f"context_speedup {speedup:.2f} < floor "
+                        f"{args.min_context_speedup:.2f} — the shared verify "
+                        "context is slower than rebuilding the per-key "
+                        "context on every call")
             baseline_profile = find_bench(baseline, "crypto_profile")
             base_vps = (baseline_profile or {}).get("verifies_per_sec")
             if base_vps:
                 new_vps = fresh_profile["verifies_per_sec"]
-                if "batch_speedup" not in (baseline_profile or {}):
+                if not {"context_speedup", "batch_speedup"} & set(
+                        baseline_profile or {}):
                     # Pre-Montgomery baseline: this is the refactor's step
                     # gate, not a no-regression bound.
                     floor = base_vps * args.min_vps_step

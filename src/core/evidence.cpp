@@ -119,16 +119,17 @@ bool Auditor::validate(const Evidence& evidence) const {
       const SignedMessage* first = verified(0, evidence.accused);
       const SignedMessage* second = verified(1, evidence.accused);
       if (first == nullptr || second == nullptr) return false;
-      // Legacy wire mode: two signed CommitmentBundles for one round.
+      // Per-round form: two signed CommitmentBundles for one round (the
+      // escalated full-bundle gossip, or bundles received on pvr.bundle).
       const auto a = try_decode<CommitmentBundle>(*first);
       const auto b = try_decode<CommitmentBundle>(*second);
       if (a && b) {
         return a->id == b->id && a->id.prover == evidence.accused &&
                first->payload != second->payload;
       }
-      // Aggregated wire mode: two content-distinct signed roots that are
-      // either for one (prover, epoch, batch) window or for two windows
-      // claiming a common round (batch-split equivocation).
+      // Root form: two content-distinct signed roots that are either for
+      // one (prover, epoch, batch) window or for two windows claiming a
+      // common round (batch-split equivocation).
       const auto ra = try_decode<AggregatedBundle>(*first);
       const auto rb = try_decode<AggregatedBundle>(*second);
       if (!ra || !rb) return false;

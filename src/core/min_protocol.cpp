@@ -30,8 +30,7 @@ ProtocolId ProtocolId::decode(crypto::ByteReader& reader) {
 
 std::size_t ProtocolIdHash::operator()(const ProtocolId& id) const noexcept {
   // splitmix64 over the packed fields: cheap, well-distributed, and stable
-  // across runs (no per-process seeding), which keeps shard assignment
-  // reproducible.
+  // across runs (no per-process seeding).
   const auto mix = [](std::uint64_t x) {
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

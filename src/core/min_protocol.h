@@ -57,8 +57,7 @@ struct ProtocolId {
   [[nodiscard]] static ProtocolId decode(crypto::ByteReader& reader);
 };
 
-// Hash for unordered containers keyed by ProtocolId (and the engine's
-// shard assignment, which hashes the (prover, prefix) projection).
+// Hash for unordered containers keyed by ProtocolId.
 struct ProtocolIdHash {
   [[nodiscard]] std::size_t operator()(const ProtocolId& id) const noexcept;
 };
@@ -127,9 +126,9 @@ struct ProverMisbehavior {
   std::optional<bgp::AsNumber> wrong_opening_for;  // corrupt Ni's opening
   std::optional<bgp::AsNumber> skip_reveal_for;    // never reveal to Ni
   bool equivocate = false;          // second bundle for a subset of peers
-  // With equivocate, in aggregated wire mode: put the conflicting bundles
-  // under a SECOND window (fresh batch number) instead of signing the same
-  // window twice, so no two roots share a batch — the batch-split evasion.
+  // With equivocate: put the conflicting bundles under a SECOND window
+  // (fresh batch number) instead of signing the same window twice, so no
+  // two roots share a batch — the batch-split evasion.
   // Both windows still claim the same prefixes, which is exactly what
   // roots_conflict's common-round rule catches.
   bool batch_split = false;

@@ -222,50 +222,36 @@ void PvrNode::run_prover_batch(net::Transport& sim, std::uint64_t epoch,
   // Publish the bundles. When equivocating, the first half of the providers
   // get the conflicting variant.
   const std::size_t half = config_.providers.size() / 2;
-  if (config_.aggregate_wire_bundles) {
-    const std::uint32_t window = next_batch_[epoch]++;
-    std::vector<SignedMessage> honest;
-    std::vector<SignedMessage> variant;
-    bool equivocating = false;
-    for (const PrefixRound& round : batch) {
-      honest.push_back(round.result.signed_bundle);
-      variant.push_back(round.result.equivocating_bundle.has_value()
-                            ? *round.result.equivocating_bundle
-                            : round.result.signed_bundle);
-      equivocating |= round.result.equivocating_bundle.has_value();
-    }
-    // Batch-split evasion: the variant gets its OWN window number, so no
-    // two signed roots share a batch — only the common prefixes they both
-    // claim betray the equivocation (roots_conflict's second rule).
-    const std::uint32_t variant_window =
-        equivocating && config_.misbehavior.batch_split ? next_batch_[epoch]++
-                                                        : window;
-    const AggregatedBundleMessage agg_honest = aggregate_signed_bundles(
-        config_.asn, epoch, window, honest, *config_.private_key);
-    std::optional<AggregatedBundleMessage> agg_variant;
-    if (equivocating) {
-      agg_variant = aggregate_signed_bundles(
-          config_.asn, epoch, variant_window, variant, *config_.private_key);
-    }
-    for (std::size_t i = 0; i < config_.providers.size(); ++i) {
-      const AggregatedBundleMessage& message =
-          (agg_variant.has_value() && i < half) ? *agg_variant : agg_honest;
-      send(sim, config_.providers[i], kBundleAggChannel, message.encode());
-    }
-    send(sim, config_.recipient, kBundleAggChannel, agg_honest.encode());
-  } else {
-    for (const PrefixRound& round : batch) {
-      for (std::size_t i = 0; i < config_.providers.size(); ++i) {
-        const SignedMessage& bundle =
-            (round.result.equivocating_bundle.has_value() && i < half)
-                ? *round.result.equivocating_bundle
-                : round.result.signed_bundle;
-        send(sim, config_.providers[i], kBundleChannel, bundle.encode());
-      }
-      send(sim, config_.recipient, kBundleChannel,
-           round.result.signed_bundle.encode());
-    }
+  const std::uint32_t window = next_batch_[epoch]++;
+  std::vector<SignedMessage> honest;
+  std::vector<SignedMessage> variant;
+  bool equivocating = false;
+  for (const PrefixRound& round : batch) {
+    honest.push_back(round.result.signed_bundle);
+    variant.push_back(round.result.equivocating_bundle.has_value()
+                          ? *round.result.equivocating_bundle
+                          : round.result.signed_bundle);
+    equivocating |= round.result.equivocating_bundle.has_value();
   }
+  // Batch-split evasion: the variant gets its OWN window number, so no
+  // two signed roots share a batch — only the common prefixes they both
+  // claim betray the equivocation (roots_conflict's second rule).
+  const std::uint32_t variant_window =
+      equivocating && config_.misbehavior.batch_split ? next_batch_[epoch]++
+                                                      : window;
+  const AggregatedBundleMessage agg_honest = aggregate_signed_bundles(
+      config_.asn, epoch, window, honest, *config_.private_key);
+  std::optional<AggregatedBundleMessage> agg_variant;
+  if (equivocating) {
+    agg_variant = aggregate_signed_bundles(
+        config_.asn, epoch, variant_window, variant, *config_.private_key);
+  }
+  for (std::size_t i = 0; i < config_.providers.size(); ++i) {
+    const AggregatedBundleMessage& message =
+        (agg_variant.has_value() && i < half) ? *agg_variant : agg_honest;
+    send(sim, config_.providers[i], kBundleAggChannel, message.encode());
+  }
+  send(sim, config_.recipient, kBundleAggChannel, agg_honest.encode());
 
   // Reveals and exports, per prefix round.
   for (const PrefixRound& round : batch) {
@@ -582,9 +568,9 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
     return findings;
   }
   if (part.kind == RoundCheckPart::Kind::kRootPair) {
-    // Aggregated wire mode: conflicting signed roots for this round's
-    // aggregation window are equivocation too (root gossip carries no
-    // bundles, so this is how the conflict surfaces).
+    // Conflicting signed roots for this round's aggregation window are
+    // equivocation too (root gossip carries no bundles, so this is how the
+    // conflict surfaces).
     findings.signatures_verified += 2;
     if (auto conflict = check_root_equivocation(config.verify_context(), config.asn,
                                                 round.observed_roots[part.i],
@@ -656,20 +642,6 @@ void PvrNode::finalize_round(const ProtocolId& id) {
   apply_round_findings(id, check_round(config_, round));
 }
 
-std::optional<DeferredRound> PvrNode::defer_finalize(const ProtocolId& id) {
-  RoundState& round = round_state(id);
-  if (round.finalized) return std::nullopt;
-  round.finalized = true;
-
-  // Snapshot by value: the closure must stay valid and thread-safe even if
-  // the node keeps receiving messages for other rounds meanwhile.
-  return DeferredRound{
-      .id = id,
-      .work = [config = &config_, snapshot = round]() {
-        return check_round(*config, snapshot);
-      }};
-}
-
 std::optional<DeferredRoundChecks> PvrNode::defer_finalize_checks(
     const ProtocolId& id) {
   RoundState& round = round_state(id);
@@ -678,21 +650,20 @@ std::optional<DeferredRoundChecks> PvrNode::defer_finalize_checks(
 
   // One immutable snapshot shared by every check closure: the parts only
   // ever read it, so they can run on any workers concurrently. Pair checks
-  // are grouped into chunks of at most finalize_chunk_pairs (never mixing
+  // are grouped into chunks of at most kFinalizeChunkPairs (never mixing
   // kinds, so enumeration order survives): a round with B observed bundles
   // has B(B-1)/2 pair checks, and one task per pair would explode the
   // engine task count. Each chunk folds its parts in enumeration order, so
-  // the engine's per-round reduction is byte-identical at any chunk size.
+  // the engine's per-round reduction is byte-identical to check_round.
   const auto snapshot = std::make_shared<const RoundState>(round);
   const std::vector<RoundCheckPart> parts = enumerate_round_checks(*snapshot);
-  const std::size_t chunk = std::max<std::size_t>(1, config_.finalize_chunk_pairs);
   DeferredRoundChecks deferred{.id = id, .checks = {}};
   std::size_t begin = 0;
   while (begin < parts.size()) {
     std::size_t end = begin + 1;
     if (parts[begin].kind != RoundCheckPart::Kind::kRole) {
       while (end < parts.size() && parts[end].kind == parts[begin].kind &&
-             end - begin < chunk) {
+             end - begin < kFinalizeChunkPairs) {
         ++end;
       }
     }
@@ -787,8 +758,6 @@ Figure1Handles make_figure1_world(const Figure1Setup& setup) {
         .misbehavior = role == PvrRole::kProver ? setup.misbehavior
                                                 : ProverMisbehavior{},
         .rng_seed = setup.seed,
-        .aggregate_wire_bundles = setup.aggregate_wire_bundles,
-        .finalize_chunk_pairs = setup.finalize_chunk_pairs,
     };
     world.sim.add_node(asn, std::make_unique<PvrNode>(std::move(config)));
   };

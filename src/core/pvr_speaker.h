@@ -83,20 +83,17 @@ struct PvrConfig {
   net::SimTime batch_deadline = 0;
   ProverMisbehavior misbehavior;            // prover only
   std::uint64_t rng_seed = 1;
-  // Default wire mode: one signed Merkle root + openings per epoch window
-  // (pvr.bundle.agg), with verifiers gossiping roots. false = one signed
-  // bundle per prefix (pvr.bundle) with full-bundle gossip.
-  bool aggregate_wire_bundles = true;
   // Max times a gossiped bundle/root is relayed peer-to-peer. Bounds the
   // flood; must be >= the verifier mesh diameter for full convergence.
   std::uint8_t gossip_hop_budget = 8;
-  // Max equivocation-pair checks folded into ONE deferred engine task by
-  // defer_finalize_checks. Rounds with huge observed-bundle/root sets have
-  // O(pairs) checks; chunking bounds the engine task count at
-  // ceil(pairs / chunk) per kind while the per-round fold keeps Evidence
-  // byte-identical for ANY chunk size (1 = legacy one-task-per-pair).
-  std::size_t finalize_chunk_pairs = 32;
 };
+
+// Max equivocation-pair checks folded into ONE deferred engine task by
+// defer_finalize_checks. Rounds with huge observed-bundle/root sets have
+// O(pairs) checks; chunking bounds the engine task count at
+// ceil(pairs / kFinalizeChunkPairs) per kind while the per-round fold keeps
+// Evidence byte-identical to the sequential finalize_round.
+inline constexpr std::size_t kFinalizeChunkPairs = 32;
 
 // Result of running one round's verifier checks (finalize_round, or its
 // deferred form executed on an engine worker).
@@ -106,21 +103,15 @@ struct RoundFindings {
   std::uint64_t signatures_verified = 0;
 };
 
-// A packaged, self-contained verification round. `work` owns a snapshot of
-// the node's round state plus const pointers to the key directory, so it is
-// safe to run on any thread while the simulator is quiescent.
-struct DeferredRound {
-  ProtocolId id;
-  std::function<RoundFindings()> work;
-};
-
-// One round's checks split at check granularity: each closure runs one
-// bundle-equivocation pair, one root-equivocation pair, or the role checks
-// over a shared immutable snapshot, so the engine can spread a single
-// round's work across workers. Folding the partial findings in vector
-// order with fold_round_findings reproduces finalize_round byte-for-byte
-// (the split preserves the sequential check order: bundle pairs, then
-// root pairs, then the role checks).
+// A packaged, self-contained verification round split at check
+// granularity: each closure runs a chunk of bundle-equivocation pairs, a
+// chunk of root-equivocation pairs, or the role checks over a shared
+// immutable snapshot of the node's round state (plus const pointers to the
+// key directory), so the engine can spread a single round's work across
+// workers while the simulator keeps running. Folding the partial findings
+// in vector order with fold_round_findings reproduces finalize_round
+// byte-for-byte (the split preserves the sequential check order: bundle
+// pairs, then root pairs, then the role checks).
 struct DeferredRoundChecks {
   ProtocolId id;
   std::vector<std::function<RoundFindings()>> checks;
@@ -169,20 +160,15 @@ class PvrNode : public net::Node {
   // Verifier-side sequential fallback: runs all checks for round `id` over
   // the messages received so far. Call after the simulator has quiesced.
   // The default path routes through engine::VerificationEngine instead
-  // (defer_finalize below, or engine::finalize_world_round).
+  // (defer_finalize_checks below, or engine::finalize_world_round).
   void finalize_round(const ProtocolId& id);
 
-  // Engine-backed finalize: packages the checks for round `id` into a
-  // closure that can run on a worker thread, and marks the round finalized
-  // so a later finalize_round is a no-op. Returns nullopt if the round is
-  // already finalized. The findings must be handed back to this node via
-  // apply_round_findings once the closure has run.
-  [[nodiscard]] std::optional<DeferredRound> defer_finalize(const ProtocolId& id);
-
-  // Split form of defer_finalize: the same checks as one closure per check
-  // part over a shared snapshot (see DeferredRoundChecks). The engine's
-  // intra-round path folds the partial findings back together in order and
-  // delivers them via apply_round_findings exactly once per round.
+  // Engine-backed finalize: packages the checks for round `id` as closures
+  // over a shared snapshot (see DeferredRoundChecks) that can run on worker
+  // threads, and marks the round finalized so a later finalize_round is a
+  // no-op. Returns nullopt if the round is already finalized. The engine
+  // folds the partial findings back together in order and delivers them
+  // via apply_round_findings exactly once per round.
   [[nodiscard]] std::optional<DeferredRoundChecks> defer_finalize_checks(
       const ProtocolId& id);
 
@@ -271,8 +257,8 @@ class PvrNode : public net::Node {
     std::optional<InputAnnouncement> own_input;      // what we provided
     // All distinct signed bundles observed (directly or via gossip).
     std::vector<SignedMessage> observed_bundles;
-    // Aggregated wire mode: every distinct signed root observed whose
-    // window claims this round's prefix. Two entries prove equivocation.
+    // Every distinct signed root observed whose window claims this round's
+    // prefix. Two entries prove equivocation.
     std::vector<SignedMessage> observed_roots;
     // Whether this round's bundles were already re-gossiped in full after
     // a root conflict surfaced (see escalate_round).
@@ -300,17 +286,18 @@ class PvrNode : public net::Node {
                                                      const RoundState& round,
                                                      const RoundCheckPart& part);
 
-  // Pure check logic shared by finalize_round and defer_finalize: folds
-  // every RoundCheckPart of the round in enumeration order — the same
-  // reduction the engine performs across workers. Static so deferred
+  // Pure check logic shared by finalize_round and defer_finalize_checks:
+  // folds every RoundCheckPart of the round in enumeration order — the
+  // same reduction the engine performs across workers. Static so deferred
   // closures cannot touch live node state.
   [[nodiscard]] static RoundFindings check_round(const PvrConfig& config,
                                                  const RoundState& round);
 
   void send(net::Transport& sim, bgp::AsNumber to, const char* channel,
             std::vector<std::uint8_t> payload);
-  // Records a signed per-prefix bundle; in legacy wire mode relays it on
-  // pvr.gossip (skipping `origin`) while `hops` is under the budget.
+  // Records a signed per-prefix bundle (from pvr.bundle, pvr.gossip, or
+  // an escalated round) and relays it on pvr.gossip (skipping `origin`)
+  // while `hops` is under the budget.
   void observe_bundle(net::Transport& sim, const SignedMessage& bundle,
                       bgp::AsNumber origin, std::uint8_t hops);
   // Records a signed aggregation root and relays it on pvr.gossip.root.
@@ -434,8 +421,6 @@ struct Figure1Setup {
   // Offset applied to every ASN, so several neighborhoods (distinct
   // provers) can run in the same epoch without ASN collisions.
   bgp::AsNumber asn_base = 0;
-  bool aggregate_wire_bundles = true;
-  std::size_t finalize_chunk_pairs = 32;  // see PvrConfig
 };
 
 struct Figure1Handles {

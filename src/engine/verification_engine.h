@@ -1,4 +1,4 @@
-// Facade tying the engine together: scheduler + batch verifier + sink.
+// Facade tying the engine together: FIFO scheduler + evidence sink.
 //
 // This is the DEFAULT verification path for simulator-driven rounds
 // (sequential PvrNode::finalize_round is the fallback):
@@ -15,18 +15,18 @@
 //   EngineReport report = engine.drain();
 //
 // Rounds are identified by the full core::ProtocolId (prover, prefix,
-// epoch) throughout — submission tickets, shard assignment, and findings
-// delivery — so concurrent rounds for different prefixes or provers in the
-// same epoch never collide.
+// epoch) throughout — outcomes and findings delivery — so concurrent
+// rounds for different prefixes or provers in the same epoch never
+// collide.
 //
 // Intra-round parallelism (DESIGN.md §8.1): submit_node_round splits a
 // round into one task per check (PvrNode::defer_finalize_checks) and the
-// salted scheduler spreads them across shards, so even a single round's
-// n+1 verifier checks run concurrently. drain() folds each round's partial
-// findings back together in enumeration order (core::fold_round_findings)
-// — the same reduction the sequential check_round performs — before
-// delivering them, so Evidence stays byte-identical to the sequential path
-// at any worker count.
+// FIFO scheduler hands them to whichever workers are idle, so even a
+// single round's n+1 verifier checks run concurrently. drain() folds each
+// round's partial findings back together in enumeration order
+// (core::fold_round_findings) — the same reduction the sequential
+// check_round performs — before delivering them, so Evidence stays
+// byte-identical to the sequential path at any worker count.
 //
 // Determinism: outcomes are applied in submission order after the pool has
 // quiesced, so node evidence logs and the sink's log are byte-identical
@@ -59,14 +59,6 @@ namespace pvr::engine {
 
 struct EngineConfig {
   std::size_t workers = 0;  // 0 = hardware concurrency
-  std::size_t shards = 64;
-  // Salt the scheduler's shard keys per submission so same-round tasks
-  // spread across shards (engine closures are self-contained snapshots,
-  // which is what makes this safe). See SchedulerConfig::salt_shards.
-  bool salt_shards = true;
-  // Split node rounds into one task per check (defer_finalize_checks)
-  // instead of one whole-round closure. false = legacy whole-round tasks.
-  bool intra_round_checks = true;
 };
 
 struct EngineReport {
@@ -97,8 +89,9 @@ class VerificationEngine {
   // Compatibility: uses the directory's shared cache-off context.
   VerificationEngine(EngineConfig config, const core::KeyDirectory* directory);
 
-  // Packages node's deferred finalize for round `id` (no-op if already
-  // finalized). The findings are handed back to the node during drain().
+  // Splits node's deferred finalize for round `id` into one task per check
+  // (no-op if already finalized). The folded findings are handed back to
+  // the node during drain().
   bool submit_node_round(core::PvrNode& node, const core::ProtocolId& id);
 
   // A free-standing round; its evidence goes only to the sink.
@@ -146,9 +139,6 @@ class VerificationEngine {
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return scheduler_.worker_count();
   }
-  [[nodiscard]] const RoundScheduler& scheduler() const noexcept {
-    return scheduler_;
-  }
 
  private:
   // One submitted round: `parts` consecutive scheduler tickets starting at
@@ -172,7 +162,6 @@ class VerificationEngine {
   };
 
   const core::VerifyContext* ctx_;  // not owned
-  bool intra_round_checks_;
   RoundScheduler scheduler_;
   EvidenceSink sink_;
   std::vector<TaskGroup> groups_;  // submission order
@@ -187,9 +176,8 @@ class VerificationEngine {
 
 // Submits every verifier of `world` (providers, then the recipient) for
 // round `id` WITHOUT draining. Returns how many rounds were actually
-// deferred. With the default intra-round config every check of every
-// round lands on its own salted shard; submit several rounds before one
-// drain() to also batch cross-round work.
+// deferred. Every check of every round becomes its own FIFO task; submit
+// several rounds before one drain() to also batch cross-round work.
 std::size_t submit_world_round(VerificationEngine& engine,
                                core::Figure1World& world,
                                const core::ProtocolId& id);

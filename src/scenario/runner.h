@@ -47,7 +47,6 @@ struct ScenarioSpec {
   net::SimTime collect_window = 4000;
   net::SimTime batch_deadline = 0;  // > collect_window enables coalescing
   std::uint8_t gossip_hop_budget = 8;
-  std::size_t finalize_chunk_pairs = 32;
   std::size_t workers = 8;
   std::size_t key_bits = 512;
   std::uint32_t max_len = 16;

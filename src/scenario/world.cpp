@@ -131,7 +131,6 @@ core::PvrConfig WorldPlan::node_config(const ScenarioSpec& spec,
                          : core::ProverMisbehavior{},
       .rng_seed = spec.seed,
       .gossip_hop_budget = spec.gossip_hop_budget,
-      .finalize_chunk_pairs = spec.finalize_chunk_pairs,
   };
 }
 
@@ -292,7 +291,8 @@ void score_evidence(const WorldPlan& plan, const EvidenceAccessor& evidence_of,
 void fill_byte_accounting(const net::SimStats& stats, ScenarioReport& report) {
   report.bytes_input = stats.channel_group(core::kInputChannel).bytes_sent;
   // kBundleChannel is a prefix of kBundleAggChannel, kGossipChannel of
-  // kGossipRootChannel: each group covers both wire modes.
+  // kGossipRootChannel: each group covers the aggregated channel and its
+  // per-prefix counterpart (escalated bundle gossip).
   report.bytes_bundle = stats.channel_group(core::kBundleChannel).bytes_sent;
   const net::ChannelStats gossip = stats.channel_group(core::kGossipChannel);
   report.bytes_gossip = gossip.bytes_sent;

@@ -45,10 +45,12 @@ struct TwoPrefixRun {
   }
 };
 
-[[nodiscard]] TwoPrefixRun run_two_prefixes(Figure1Setup setup) {
+[[nodiscard]] TwoPrefixRun run_two_prefixes(Figure1Setup setup,
+                                          net::Interceptor interceptor = {}) {
   TwoPrefixRun run{.handles = make_figure1_world(setup),
                    .prefix_b = bgp::Ipv4Prefix::parse("198.51.100.0/24")};
   Figure1World& world = *run.handles.world;
+  world.sim.transport().set_interceptor(std::move(interceptor));
 
   world.sim.schedule(0, [&world, &run] {
     // Prefix A minimum: length 2 (provider 1); prefix B minimum: length 3
@@ -123,11 +125,29 @@ TEST(MultiPrefixTest, TwoPrefixesSameEpochThroughEngine) {
       world.node(world.recipient).accepted_route(run.id_b()).has_value());
 }
 
-// The legacy (per-prefix signed bundle) wire mode must isolate concurrent
-// prefixes just as well — the fix is in the state keying, not the wire.
+// The per-prefix receive path (signed bundles on pvr.bundle, full-bundle
+// gossip on pvr.gossip) must isolate concurrent prefixes just as well —
+// the fix is in the state keying, not the wire. The interceptor unpacks
+// every pvr.bundle.agg message into its per-prefix signed bundles.
 TEST(MultiPrefixTest, TwoPrefixesSameEpochLegacyWireMode) {
-  TwoPrefixRun run =
-      run_two_prefixes({.seed = 23, .aggregate_wire_bundles = false});
+  std::size_t unpacked = 0;
+  TwoPrefixRun run = run_two_prefixes(
+      {.seed = 23},
+      [&unpacked](net::Transport& transport, const net::Message& message) {
+        if (message.channel != kBundleAggChannel) return net::InterceptDecision{};
+        const AggregatedBundleMessage aggregated =
+            AggregatedBundleMessage::decode(message.payload);
+        for (const SignedBundleOpening& opening : aggregated.openings) {
+          transport.send(net::Message{.from = message.from,
+                                      .to = message.to,
+                                      .channel = kBundleChannel,
+                                      .payload = opening.bundle.encode()});
+          unpacked += 1;
+        }
+        return net::InterceptDecision{.drop = true};
+      });
+  // Two prefixes to each of the 3 providers and the recipient.
+  EXPECT_EQ(unpacked, 8u);
   Figure1World& world = *run.handles.world;
 
   std::vector<bgp::AsNumber> verifiers = world.providers;
@@ -147,8 +167,8 @@ TEST(MultiPrefixTest, TwoPrefixesSameEpochLegacyWireMode) {
 
 // Two provers (two Figure-1 neighborhoods, distinct ASNs) running the same
 // epoch over the same prefix, drained through ONE engine batch: rounds are
-// keyed and sharded by the full (prover, prefix, epoch) identity, so
-// neither neighborhood sees the other's state or findings.
+// keyed by the full (prover, prefix, epoch) identity, so neither
+// neighborhood sees the other's state or findings.
 TEST(MultiPrefixTest, TwoProversSameEpochSamePrefixThroughOneEngine) {
   Figure1Handles first = make_figure1_world({.seed = 24});
   Figure1Handles second = make_figure1_world({.seed = 25, .asn_base = 1000});

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/evidence.h"
 
@@ -111,6 +112,13 @@ struct MisbehaviorCase {
   ViolationKind expected;
   bool provable;  // should the auditor accept the evidence?
 };
+
+// Without this gtest prints the case as a raw byte dump, which leads with the
+// address of `name` and so changes the listed test names with every relink
+// and every ASLR base.
+void PrintTo(const MisbehaviorCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 class PvrDetectionTest : public ::testing::TestWithParam<MisbehaviorCase> {};
 

@@ -222,15 +222,21 @@ TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {
   (void)engine.drain();
   EXPECT_TRUE(provider.evidence().empty());  // honest round, one evaluation
 
-  // The deferred id carries the full round identity for sharding.
+  // The deferred id carries the full round identity, and a second defer
+  // of the same round refuses.
   core::PvrNode& other = world.node(world.providers[1]);
-  const std::optional<core::DeferredRound> deferred =
-      other.defer_finalize(handles.round_id(1));
+  std::optional<core::DeferredRoundChecks> deferred =
+      other.defer_finalize_checks(handles.round_id(1));
   ASSERT_TRUE(deferred.has_value());
+  EXPECT_FALSE(other.defer_finalize_checks(handles.round_id(1)).has_value());
   EXPECT_EQ(deferred->id.prover, world.prover);
   EXPECT_EQ(deferred->id.prefix, handles.prefix);
   EXPECT_EQ(deferred->id.epoch, 1u);
-  other.apply_round_findings(handles.round_id(1), deferred->work());
+  core::RoundFindings findings;
+  for (auto& check : deferred->checks) {
+    core::fold_round_findings(findings, check());
+  }
+  other.apply_round_findings(handles.round_id(1), std::move(findings));
   EXPECT_TRUE(other.evidence().empty());
 }
 

@@ -1,7 +1,7 @@
 // Engine-vs-sequential parity over a concurrent multi-prefix workload: the
 // engine at any worker count must produce byte-identical per-node evidence
 // to the sequential finalize_round fallback, with two prefixes of the same
-// epoch in flight (shards run them in parallel) and an equivocating prover
+// epoch in flight (workers run them in parallel) and an equivocating prover
 // supplying non-trivial evidence.
 #include <gtest/gtest.h>
 
@@ -130,9 +130,8 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
     ASSERT_TRUE(checks.has_value());
     // Equivocation world: at least one pair check plus the role check.
     EXPECT_GE(checks->checks.size(), 2u) << "verifier " << verifier;
-    // A second defer (either form) must refuse: the round is finalized.
+    // A second defer must refuse: the round is finalized.
     EXPECT_FALSE(split_node.defer_finalize_checks(id).has_value());
-    EXPECT_FALSE(split_node.defer_finalize(id).has_value());
 
     core::RoundFindings folded;
     for (auto& check : checks->checks) {
@@ -147,50 +146,17 @@ TEST(MultiPrefixParityTest, SplitChecksFoldToSequentialFindings) {
   }
 }
 
-// Salting only moves tasks between shards; an engine with salting OFF must
-// produce the same bytes as the default salted engine.
-TEST(MultiPrefixParityTest, UnsaltedEngineMatchesSaltedEngine) {
-  const ProtocolId id_b{.prover = 100,
-                        .prefix = bgp::Ipv4Prefix::parse("198.51.100.0/24"),
-                        .epoch = 1};
-  Figure1Handles salted = run_two_prefix_equivocation_world();
-  Figure1Handles unsalted = run_two_prefix_equivocation_world();
-  ASSERT_EQ(salted.world->prover, 100u);
-
-  std::vector<bgp::AsNumber> verifiers = salted.world->providers;
-  verifiers.push_back(salted.world->recipient);
-  VerificationEngine salted_engine({.workers = 8}, &salted.keys->directory);
-  VerificationEngine unsalted_engine({.workers = 8, .salt_shards = false},
-                                     &unsalted.keys->directory);
-  for (const bgp::AsNumber verifier : verifiers) {
-    for (const ProtocolId& id : {salted.round_id(1), id_b}) {
-      EXPECT_TRUE(salted_engine.submit_node_round(salted.world->node(verifier), id));
-      EXPECT_TRUE(
-          unsalted_engine.submit_node_round(unsalted.world->node(verifier), id));
-    }
-  }
-  (void)salted_engine.drain();
-  (void)unsalted_engine.drain();
-  for (const bgp::AsNumber verifier : verifiers) {
-    EXPECT_EQ(evidence_fingerprint(salted.world->node(verifier).evidence()),
-              evidence_fingerprint(unsalted.world->node(verifier).evidence()))
-        << "verifier " << verifier;
-  }
-  EXPECT_EQ(salted_engine.sink().total(), unsalted_engine.sink().total());
-}
-
 // Chunked pair enumeration: a round with a huge observed-bundle set has
 // O(pairs) equivocation checks; defer_finalize_checks must bound the task
-// count at ceil(pairs / finalize_chunk_pairs) per kind while the fold
-// stays byte-identical to the sequential path AND to chunk size 1 (the
-// legacy one-task-per-pair split).
+// count at ceil(pairs / kFinalizeChunkPairs) per kind while the fold stays
+// byte-identical to the sequential finalize_round.
 TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
   constexpr std::size_t kVariants = 10;  // + the honest bundle = 11 -> 55 pairs
   constexpr bgp::AsNumber kVerifier = 300;
 
   // Crafts kVariants distinct prover-signed bundles for round `id` and
   // injects them into the verifier as if an equivocating prover had sent
-  // them; identical seeds make the three worlds' states byte-identical.
+  // them; identical seeds make the two worlds' states byte-identical.
   const auto inject_variants = [](Figure1Handles& handles,
                                   const ProtocolId& id) {
     crypto::Drbg rng(99, "chunk-test-variants");
@@ -211,10 +177,9 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
                                    .payload = signed_bundle.encode()});
     }
   };
-  const auto make_world = [&](std::size_t chunk_pairs) {
-    Figure1Setup setup{.seed = 52, .provider_count = 4};
-    setup.finalize_chunk_pairs = chunk_pairs;
-    Figure1Handles handles = core::make_figure1_world(setup);
+  const auto make_world = [&] {
+    Figure1Handles handles =
+        core::make_figure1_world({.seed = 52, .provider_count = 4});
     Figure1World& world = *handles.world;
     world.sim.schedule(0, [&world, &handles] {
       for (std::size_t i = 0; i < world.providers.size(); ++i) {
@@ -229,58 +194,32 @@ TEST(MultiPrefixParityTest, ChunkedPairChecksBoundTasksAndFoldIdentically) {
     return handles;
   };
 
-  Figure1Handles sequential = make_world(32);
-  Figure1Handles chunked = make_world(32);
-  Figure1Handles per_pair = make_world(1);
+  Figure1Handles sequential = make_world();
+  Figure1Handles chunked = make_world();
   const ProtocolId id = sequential.round_id(1);
 
   sequential.world->node(kVerifier).finalize_round(id);
   ASSERT_FALSE(sequential.world->node(kVerifier).evidence().empty());
 
-  // 11 observed bundles -> 55 pairs: ceil(55/32) = 2 chunks + the role
-  // check at the default chunk size, 55 + 1 tasks at chunk size 1.
-  const auto run_split = [&](Figure1Handles& handles,
-                             std::size_t expected_tasks) {
-    core::PvrNode& node = handles.world->node(kVerifier);
-    std::optional<core::DeferredRoundChecks> checks =
-        node.defer_finalize_checks(id);
-    ASSERT_TRUE(checks.has_value());
-    EXPECT_EQ(checks->checks.size(), expected_tasks);
-    core::RoundFindings folded;
-    for (auto& check : checks->checks) {
-      core::fold_round_findings(folded, check());
-    }
-    node.apply_round_findings(id, folded);
-  };
-  run_split(chunked, 3);
-  run_split(per_pair, 56);
+  // 11 observed bundles -> 55 pairs: ceil(55 / kFinalizeChunkPairs) pair
+  // chunks + the role check.
+  constexpr std::size_t kPairs = (kVariants + 1) * kVariants / 2;
+  constexpr std::size_t kExpectedTasks =
+      (kPairs + core::kFinalizeChunkPairs - 1) / core::kFinalizeChunkPairs + 1;
+  static_assert(kExpectedTasks > 2, "55 pairs must span several chunks");
+  core::PvrNode& node = chunked.world->node(kVerifier);
+  std::optional<core::DeferredRoundChecks> checks =
+      node.defer_finalize_checks(id);
+  ASSERT_TRUE(checks.has_value());
+  EXPECT_EQ(checks->checks.size(), kExpectedTasks);
+  core::RoundFindings folded;
+  for (auto& check : checks->checks) {
+    core::fold_round_findings(folded, check());
+  }
+  node.apply_round_findings(id, folded);
 
-  const std::string expected =
-      evidence_fingerprint(sequential.world->node(kVerifier).evidence());
-  EXPECT_EQ(evidence_fingerprint(chunked.world->node(kVerifier).evidence()),
-            expected);
-  EXPECT_EQ(evidence_fingerprint(per_pair.world->node(kVerifier).evidence()),
-            expected);
-}
-
-// The two prefixes of one (prover, epoch) hash to different shards only if
-// the prefix participates in shard assignment; same-prefix rounds must
-// still serialize. Guards the keying the parity above relies on.
-TEST(MultiPrefixParityTest, ShardAssignmentUsesPrefix) {
-  RoundScheduler scheduler({.workers = 1, .shards = 64});
-  const ProtocolId id_a{.prover = 7,
-                        .prefix = bgp::Ipv4Prefix::parse("203.0.113.0/24"),
-                        .epoch = 1};
-  ProtocolId id_a_later = id_a;
-  id_a_later.epoch = 9;
-  const ProtocolId id_b{.prover = 7,
-                        .prefix = bgp::Ipv4Prefix::parse("198.51.100.0/24"),
-                        .epoch = 1};
-  EXPECT_EQ(scheduler.shard_of(id_a), scheduler.shard_of(id_a_later));
-  // Not guaranteed for arbitrary prefixes, but these two differ under the
-  // current hash — a regression to epoch-only or prover-only sharding
-  // would collapse them.
-  EXPECT_NE(scheduler.shard_of(id_a), scheduler.shard_of(id_b));
+  EXPECT_EQ(evidence_fingerprint(node.evidence()),
+            evidence_fingerprint(sequential.world->node(kVerifier).evidence()));
 }
 
 }  // namespace

@@ -2,12 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
-#include <numeric>
-#include <set>
 #include <string>
+#include <vector>
 
 namespace pvr::engine {
 namespace {
@@ -48,13 +47,14 @@ namespace {
   return trace;
 }
 
+// `hot_key` submits every task under prefix 0 (same closures, only the
+// keys differ), the hot-prefix shape a keyed queue would serialize.
 [[nodiscard]] std::string run_workload(std::size_t workers,
-                                       bool salt_shards = true) {
-  RoundScheduler scheduler(
-      {.workers = workers, .shards = 16, .salt_shards = salt_shards});
+                                       bool hot_key = false) {
+  RoundScheduler scheduler({.workers = workers});
   for (std::uint64_t epoch = 1; epoch <= 5; ++epoch) {
     for (std::uint32_t prefix = 0; prefix < 40; ++prefix) {
-      scheduler.submit(round_id(prefix, epoch), [prefix, epoch] {
+      scheduler.submit(round_id(hot_key ? 0 : prefix, epoch), [prefix, epoch] {
         return findings_for(prefix, epoch);
       });
     }
@@ -63,7 +63,7 @@ namespace {
 }
 
 TEST(RoundSchedulerTest, DrainReturnsSubmissionOrder) {
-  RoundScheduler scheduler({.workers = 4, .shards = 8});
+  RoundScheduler scheduler({.workers = 4});
   for (std::uint64_t epoch = 1; epoch <= 30; ++epoch) {
     scheduler.submit(round_id(epoch % 7, epoch),
                      [epoch] { return findings_for(epoch % 7, epoch); });
@@ -77,112 +77,92 @@ TEST(RoundSchedulerTest, DrainReturnsSubmissionOrder) {
   }
 }
 
+// Neither the worker count nor the submission keys change what drain()
+// returns.
 TEST(RoundSchedulerTest, DeterministicAcrossWorkerCounts) {
   const std::string reference = run_workload(1);
   EXPECT_EQ(run_workload(2), reference);
   EXPECT_EQ(run_workload(4), reference);
   EXPECT_EQ(run_workload(8), reference);
+  EXPECT_EQ(run_workload(1, /*hot_key=*/true), reference);
+  EXPECT_EQ(run_workload(8, /*hot_key=*/true), reference);
 }
 
-// Salting changes WHERE tasks run, never what drain() returns: the drained
-// sequence is byte-identical across salting modes and worker counts.
-TEST(RoundSchedulerTest, DeterministicAcrossSaltingModes) {
-  const std::string reference = run_workload(1, /*salt_shards=*/false);
-  EXPECT_EQ(run_workload(1, /*salt_shards=*/true), reference);
-  EXPECT_EQ(run_workload(8, /*salt_shards=*/false), reference);
-  EXPECT_EQ(run_workload(8, /*salt_shards=*/true), reference);
-}
-
-// The legacy guarantee survives behind salt_shards = false: closures that
-// share per-(prover, prefix) state still serialize in submission order.
-TEST(RoundSchedulerTest, SamePrefixRoundsRunSerially) {
-  RoundScheduler scheduler({.workers = 8, .shards = 4, .salt_shards = false});
+// One worker drains the FIFO strictly in ticket order, whatever rounds the
+// tickets belong to: distinct ProtocolIds never reorder the queue.
+TEST(RoundSchedulerTest, OneWorkerStartsTasksInTicketOrder) {
+  RoundScheduler scheduler({.workers = 1});
   std::mutex order_mutex;
-  std::map<std::uint32_t, std::vector<std::uint64_t>> executed;
-  for (std::uint64_t epoch = 1; epoch <= 20; ++epoch) {
-    for (std::uint32_t prefix = 0; prefix < 6; ++prefix) {
-      scheduler.submit(round_id(prefix, epoch), [&, prefix, epoch] {
-        {
-          const std::lock_guard<std::mutex> lock(order_mutex);
-          executed[prefix].push_back(epoch);
-        }
-        return core::RoundFindings{};
-      });
+  std::vector<std::size_t> started;
+  constexpr std::size_t kTasks = 96;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    // Distinct prover, prefix and epoch per task.
+    const core::ProtocolId id{
+        .prover = static_cast<bgp::AsNumber>(1 + i % 5),
+        .prefix = bgp::Ipv4Prefix(
+            0x0A000000u + (static_cast<std::uint32_t>(i * 37 % kTasks) << 8),
+            24),
+        .epoch = kTasks - i};
+    const std::size_t ticket = scheduler.submit(id, [&, i] {
+      const std::lock_guard<std::mutex> lock(order_mutex);
+      started.push_back(i);
+      return core::RoundFindings{};
+    });
+    ASSERT_EQ(ticket, i);
+  }
+  (void)scheduler.drain();
+  ASSERT_EQ(started.size(), kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(started[i], i) << "task started out of ticket order";
+  }
+}
+
+// N tasks of ONE round on N workers must all be running at the same time:
+// each blocks at a rendezvous until all N have arrived. A queue that
+// serializes same-key tasks would leave the rendezvous short; the wait is
+// bounded, so that failure shows up as a failed assertion, not a hang.
+TEST(RoundSchedulerTest, SameProtocolIdTasksRunConcurrently) {
+  constexpr std::size_t kWorkers = 16;
+  constexpr auto kTimeout = std::chrono::seconds(20);
+  RoundScheduler scheduler({.workers = kWorkers});
+  std::mutex mutex;
+  std::condition_variable arrived_cv;
+  std::size_t arrived = 0;
+  const core::ProtocolId hot = round_id(7, 1);
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    scheduler.submit(hot, [&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      arrived += 1;
+      arrived_cv.notify_all();
+      const bool met = arrived_cv.wait_for(
+          lock, kTimeout, [&] { return arrived == kWorkers; });
+      core::RoundFindings findings;
+      if (!met) {
+        findings.evidence.push_back(core::Evidence{
+            .kind = core::ViolationKind::kEquivocation,
+            .accused = 1,
+            .reporter = 1,
+            .index = 0,
+            .messages = {},
+            .detail = "rendezvous timed out with only " +
+                      std::to_string(arrived) + " of " +
+                      std::to_string(kWorkers) + " same-round tasks running"});
+      }
+      return findings;
+    });
+  }
+  const std::vector<RoundOutcome> outcomes = scheduler.drain();
+  ASSERT_EQ(outcomes.size(), kWorkers);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_EQ(outcomes[i].error, nullptr);
+    for (const core::Evidence& timeout : outcomes[i].findings.evidence) {
+      ADD_FAILURE() << "task " << i << ": " << timeout.detail;
     }
   }
-  (void)scheduler.drain();
-  for (const auto& [prefix, epochs] : executed) {
-    EXPECT_TRUE(std::is_sorted(epochs.begin(), epochs.end()))
-        << "prefix " << prefix << " executed out of submission order";
-    EXPECT_EQ(epochs.size(), 20u);
-  }
-}
-
-TEST(RoundSchedulerTest, ShardsAreReasonablyBalanced) {
-  RoundScheduler scheduler({.workers = 2, .shards = 16});
-  for (std::uint32_t prefix = 0; prefix < 1600; ++prefix) {
-    scheduler.submit(round_id(prefix, 1),
-                     [] { return core::RoundFindings{}; });
-  }
-  (void)scheduler.drain();
-  const std::vector<std::uint64_t> loads = scheduler.shard_loads();
-  ASSERT_EQ(loads.size(), 16u);
-  const std::uint64_t total = std::accumulate(loads.begin(), loads.end(),
-                                              std::uint64_t{0});
-  EXPECT_EQ(total, 1600u);
-  const std::uint64_t mean = total / loads.size();  // 100 per shard
-  for (const std::uint64_t load : loads) {
-    EXPECT_GT(load, mean / 2) << "starved shard";
-    EXPECT_LT(load, mean * 2) << "overloaded shard";
-  }
-}
-
-TEST(RoundSchedulerTest, SameProtocolIdHashesToSameShard) {
-  RoundScheduler scheduler({.workers = 1, .shards = 32});
-  const core::ProtocolId a = round_id(7, 1);
-  const core::ProtocolId b = round_id(7, 99);  // same prefix, other epoch
-  EXPECT_EQ(scheduler.shard_of(a), scheduler.shard_of(b));
-}
-
-// Salted mode: submissions of ONE (prover, prefix) — e.g. the n+1 checks
-// of a single round — must spread over the shards instead of pinning one,
-// or a hot prefix serializes on a single worker (the speedup_8v1 = 0.97
-// regression this PR exists to fix).
-TEST(RoundSchedulerTest, SaltedSubmissionsOfOneRoundSpreadAcrossShards) {
-  RoundScheduler scheduler({.workers = 2, .shards = 16});
-  ASSERT_TRUE(scheduler.salted());
-  const core::ProtocolId hot = round_id(7, 1);
-  for (std::size_t i = 0; i < 160; ++i) {
-    scheduler.submit(hot, [] { return core::RoundFindings{}; });
-  }
-  (void)scheduler.drain();
-  const std::vector<std::uint64_t> loads = scheduler.shard_loads();
-  const std::size_t used = static_cast<std::size_t>(
-      std::count_if(loads.begin(), loads.end(),
-                    [](std::uint64_t load) { return load > 0; }));
-  // The splitmix-style mix over (key ⊕ ticket) should touch nearly every
-  // shard at 160 submissions / 16 shards; >= 12 leaves generous slack.
-  EXPECT_GE(used, 12u);
-  std::uint64_t heaviest = 0;
-  for (const std::uint64_t load : loads) heaviest = std::max(heaviest, load);
-  EXPECT_LT(heaviest, 160u / 3) << "salted hot key still pins one shard";
-}
-
-// The salted key must actually vary with the ticket (a constant salt would
-// silently restore the hot-shard pin), and stay stable for a fixed ticket.
-TEST(RoundSchedulerTest, SaltedShardKeyVariesWithTicket) {
-  RoundScheduler scheduler({.workers = 1, .shards = 64});
-  const core::ProtocolId hot = round_id(3, 1);
-  std::set<std::size_t> shards;
-  for (std::size_t salt = 0; salt < 32; ++salt) {
-    EXPECT_EQ(scheduler.shard_of(hot, salt), scheduler.shard_of(hot, salt));
-    shards.insert(scheduler.shard_of(hot, salt));
-  }
-  EXPECT_GE(shards.size(), 16u) << "ticket salt barely perturbs the shard";
 }
 
 TEST(RoundSchedulerTest, ExceptionIsolatedToItsRound) {
-  RoundScheduler scheduler({.workers = 2, .shards = 4});
+  RoundScheduler scheduler({.workers = 2});
   scheduler.submit(round_id(0, 1), [] { return findings_for(0, 1); });
   scheduler.submit(round_id(1, 1), []() -> core::RoundFindings {
     throw std::runtime_error("round blew up");
