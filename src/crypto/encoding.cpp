@@ -74,6 +74,16 @@ void ByteReader::require(std::size_t count) const {
   }
 }
 
+void ByteReader::require_items(std::uint64_t count,
+                               std::size_t min_bytes_per_item) const {
+  if (min_bytes_per_item == 0) {
+    throw std::invalid_argument("ByteReader: zero minimum item size");
+  }
+  if (count > remaining() / min_bytes_per_item) {
+    throw std::out_of_range("ByteReader: count exceeds remaining input");
+  }
+}
+
 std::uint8_t ByteReader::get_u8() {
   require(1);
   return data_[offset_++];
@@ -128,6 +138,18 @@ std::string ByteReader::get_string() {
   std::string out(reinterpret_cast<const char*>(data_.data() + offset_), len);
   offset_ += len;
   return out;
+}
+
+std::uint32_t ByteReader::get_count(std::size_t min_bytes_per_item) {
+  const std::uint32_t count = get_u32();
+  require_items(count, min_bytes_per_item);
+  return count;
+}
+
+std::uint64_t ByteReader::get_count_u64(std::size_t min_bytes_per_item) {
+  const std::uint64_t count = get_u64();
+  require_items(count, min_bytes_per_item);
+  return count;
 }
 
 }  // namespace pvr::crypto

@@ -53,12 +53,19 @@ class ByteReader {
   [[nodiscard]] std::vector<std::uint8_t> get_raw(std::size_t count);
   [[nodiscard]] std::vector<std::uint8_t> get_bytes();
   [[nodiscard]] std::string get_string();
+  // An item count (u32, or u64 for get_count_u64) whose items each take at
+  // least `min_bytes_per_item` (> 0) input bytes. Throws std::out_of_range
+  // when the rest of the input cannot hold that many, so a decoder may
+  // reserve() the count without an attacker choosing the allocation size.
+  [[nodiscard]] std::uint32_t get_count(std::size_t min_bytes_per_item);
+  [[nodiscard]] std::uint64_t get_count_u64(std::size_t min_bytes_per_item);
 
   [[nodiscard]] bool exhausted() const noexcept { return offset_ == data_.size(); }
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - offset_; }
 
  private:
   void require(std::size_t count) const;
+  void require_items(std::uint64_t count, std::size_t min_bytes_per_item) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t offset_ = 0;

@@ -62,7 +62,8 @@ Message decode_message_body(std::span<const std::uint8_t> body) {
   const std::uint16_t channel_len = reader.get_u16();
   const std::vector<std::uint8_t> channel = reader.get_raw(channel_len);
   message.channel.assign(channel.begin(), channel.end());
-  const std::uint32_t payload_len = reader.get_u32();
+  // Every payload byte is at least one body byte.
+  const std::uint32_t payload_len = reader.get_count(1);
   message.payload.reserve(payload_len);
   const std::size_t first =
       std::min<std::size_t>(payload_len, kWireChunkPayload);
@@ -176,7 +177,11 @@ bool FrameConn::read_frames(
                                 (std::uint32_t(in_[pos + 1]) << 16) |
                                 (std::uint32_t(in_[pos + 2]) << 8) |
                                 std::uint32_t(in_[pos + 3]);
-    if (total == 0) throw std::invalid_argument("frame: zero-length frame");
+    if (total == 0) {  // no type byte: a broken peer, not a frame
+      close();
+      in_.clear();
+      return false;
+    }
     if (in_.size() - pos - 4 < total) break;
     const std::uint8_t type = in_[pos + 4];
     on_frame(type, std::span<const std::uint8_t>(in_.data() + pos + 5,

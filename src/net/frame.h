@@ -1,4 +1,5 @@
-// Wire framing for the socket transport and the multiprocess control plane.
+// Wire framing for the lockstep multiprocess deployment: the conductor's
+// control connections and the node processes' peer-to-peer data plane.
 //
 // Every frame on a PVR TCP connection is
 //
@@ -10,14 +11,14 @@
 // the payload split into 64 KiB chunks — the first chunk bare, every
 // further chunk prefixed by a 6-byte header (u32 offset + u16 length), the
 // same chunking model the simulator's byte accounting has always charged
-// (kWireChunkPayload/kWireChunkHeader). Byte totals are therefore
-// fingerprint-comparable across the sim and socket backends by
-// construction, not by convention.
+// (kWireChunkPayload/kWireChunkHeader). The bytes a node process relays
+// therefore match the simulated byte accounting by construction, not by
+// convention.
 //
 // FrameConn owns the per-connection buffering: a nonblocking fd, an
 // outgoing queue flushed as the socket accepts bytes, and an incoming
 // reassembly buffer that yields complete frames in order. It is
-// single-threaded — the owning event loop is the only caller.
+// single-threaded — the owning loop is the only caller.
 #pragma once
 
 #include <cstdint>
@@ -30,18 +31,13 @@
 
 namespace pvr::net {
 
-// Frame types. Transport data and the multiprocess conductor's control
-// verbs share one numbering so a connection can carry both.
-inline constexpr std::uint8_t kFrameHello = 1;    // body: u32 node id
-inline constexpr std::uint8_t kFrameMessage = 2;  // body: message encoding
-// Observability sidecar (DESIGN.md §14): a u64 trace-correlation cookie
-// for the kFrameMessage that immediately follows on the same connection.
-// Sent only while tracing is armed; never counted in SimStats byte
-// accounting (only kFrameMessage bodies are wire_size() bytes), so its
-// presence cannot perturb fingerprint parity.
-inline constexpr std::uint8_t kFrameObs = 3;
-// Live introspection: body [u8 kind: 0 request | 1 reply][reply: encoded
-// obs::StatsSample]. Answered by the host's obs::StatsServer.
+// Frame types. Peer data and the multiprocess conductor's control verbs
+// share one numbering so a connection can carry both.
+inline constexpr std::uint8_t kFrameHello = 1;    // body: u32 process index
+// Peer data: body [u64 cookie][message encoding].
+inline constexpr std::uint8_t kFrameMessage = 2;
+// Live introspection: an empty-bodied request from the conductor, answered
+// with an encoded obs::StatsSample from the node's obs::StatsServer.
 inline constexpr std::uint8_t kFrameStats = 4;
 // Multiprocess lockstep control plane (scenario/multiprocess.cpp).
 inline constexpr std::uint8_t kFramePeers = 16;
@@ -84,14 +80,15 @@ class FrameConn {
   bool flush();
 
   // Blocks (poll on POLLOUT) until every queued byte is written or the
-  // connection dies. The multiprocess control plane uses this; the
-  // SocketTransport event loop only ever calls flush().
+  // connection dies. Every multiprocess send path ends in this.
   bool flush_all();
 
   // Reads every byte currently available and invokes `on_frame` for each
   // complete frame, in arrival order. Returns false once the peer has
   // closed or errored (a partial trailing frame is discarded — the
-  // disconnect-mid-message contract).
+  // disconnect-mid-message contract) or has sent a zero-length frame,
+  // which no sender produces: the frames before it are delivered, then the
+  // connection is closed like any other broken one.
   bool read_frames(
       const std::function<void(std::uint8_t, std::span<const std::uint8_t>)>&
           on_frame);

@@ -6,7 +6,7 @@
 // two distinct signed values for the same topic *are* the evidence of
 // equivocation. This class tracks observed values per topic and surfaces
 // conflicts; the PVR verifier nodes relay observations to each other over
-// whatever net::Transport backend the world runs on (simulated, socket,
+// whatever net::Transport backend the world runs on (simulated, replayed,
 // or lockstep-multiprocess — the relay logic never sees the difference).
 #pragma once
 

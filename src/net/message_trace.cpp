@@ -11,6 +11,13 @@ namespace {
 
 constexpr std::uint32_t kTraceMagic = 0x50565254;  // "PVRT"
 constexpr std::uint32_t kTraceVersion = 1;
+// Smallest wire form of each counted item, which bounds what a count read
+// from the input may claim: an entry is sequence, time, from, to and two
+// empty length-prefixed fields; a channel an empty name plus four u64
+// counters; a prover a node id plus two u64 counters.
+constexpr std::size_t kMinEntryBytes = 8 + 8 + 4 + 4 + 4 + 4;
+constexpr std::size_t kMinChannelBytes = 4 + 4 * 8;
+constexpr std::size_t kMinProverBytes = 4 + 8 + 8;
 
 void encode_channel_stats(crypto::ByteWriter& writer, const ChannelStats& stats) {
   writer.put_u64(stats.messages_sent);
@@ -93,7 +100,7 @@ MessageTrace MessageTrace::decode(std::span<const std::uint8_t> data) {
   trace.scenario = reader.get_string();
   trace.seed = reader.get_u64();
   trace.backend = reader.get_string();
-  const std::uint64_t entry_count = reader.get_u64();
+  const std::uint64_t entry_count = reader.get_count_u64(kMinEntryBytes);
   trace.entries.reserve(entry_count);
   for (std::uint64_t i = 0; i < entry_count; ++i) {
     TraceEntry entry;
@@ -109,12 +116,12 @@ MessageTrace MessageTrace::decode(std::span<const std::uint8_t> data) {
   trace.stats.messages_delivered = reader.get_u64();
   trace.stats.messages_dropped = reader.get_u64();
   trace.stats.bytes_sent = reader.get_u64();
-  const std::uint64_t channel_count = reader.get_u64();
+  const std::uint64_t channel_count = reader.get_count_u64(kMinChannelBytes);
   for (std::uint64_t i = 0; i < channel_count; ++i) {
     std::string channel = reader.get_string();
     trace.stats.per_channel[std::move(channel)] = decode_channel_stats(reader);
   }
-  const std::uint64_t prover_count = reader.get_u64();
+  const std::uint64_t prover_count = reader.get_count_u64(kMinProverBytes);
   trace.provers.reserve(prover_count);
   for (std::uint64_t i = 0; i < prover_count; ++i) {
     TraceProverMeta meta;

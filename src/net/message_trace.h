@@ -1,5 +1,6 @@
 // Ordered delivery trace of one transport run — the determinism bridge
-// between the wall-clock socket backend and the deterministic simulator.
+// between the lockstep multiprocess deployment and the deterministic
+// simulator.
 //
 // A trace records every DELIVERED message (dropped messages never appear),
 // in a single global delivery order, plus the run's wire accounting and the

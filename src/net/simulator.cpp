@@ -33,15 +33,6 @@ Node& Simulator::node(NodeId id) {
   return *it->second;
 }
 
-bool Simulator::has_node(NodeId id) const noexcept { return nodes_.contains(id); }
-
-std::vector<NodeId> Simulator::node_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, node] : nodes_) out.push_back(id);
-  return out;
-}
-
 void Simulator::connect(NodeId a, NodeId b, LinkConfig config) {
   if (a == b) throw std::invalid_argument("Simulator::connect: self link");
   links_[link_key(a, b)] = config;

@@ -25,6 +25,8 @@
 
 namespace pvr::net {
 
+class MessageTrace;  // net/message_trace.h
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed);
@@ -37,8 +39,6 @@ class Simulator {
   // Registers a node. Throws std::invalid_argument on duplicate id.
   void add_node(NodeId id, std::unique_ptr<Node> node);
   [[nodiscard]] Node& node(NodeId id);
-  [[nodiscard]] bool has_node(NodeId id) const noexcept;
-  [[nodiscard]] std::vector<NodeId> node_ids() const;
 
   // Creates a bidirectional link. Replaces the config if already linked.
   void connect(NodeId a, NodeId b, LinkConfig config = {});
@@ -61,9 +61,9 @@ class Simulator {
   // receives the canonical SimTransport, never the Simulator itself.
   void set_interceptor(Interceptor interceptor);
 
-  // Attaches a delivery trace recorder (Transport::set_trace's backend
-  // implementation). Every delivered message is appended in delivery
-  // order. nullptr detaches.
+  // Attaches a delivery trace recorder: every delivered message is
+  // appended in delivery order. The pointer is borrowed and must outlive
+  // the attachment; nullptr detaches.
   void set_trace(MessageTrace* trace) noexcept { trace_ = trace; }
 
   // Runs `fn` at absolute simulated time `at` (>= now).
@@ -87,7 +87,6 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] const SimStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] crypto::Drbg& rng() noexcept { return rng_; }
 
  private:
   struct Event {

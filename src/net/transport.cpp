@@ -28,12 +28,6 @@ void SimTransport::schedule(SimTime at, std::function<void()> fn) {
   sim_->schedule(at, std::move(fn));
 }
 
-void SimTransport::schedule_periodic(SimTime interval, std::function<void()> fn) {
-  sim_->schedule_periodic(interval, std::move(fn));
-}
-
 const SimStats& SimTransport::stats() const { return sim_->stats(); }
-
-void SimTransport::set_trace(MessageTrace* trace) { sim_->set_trace(trace); }
 
 }  // namespace pvr::net

@@ -1,32 +1,30 @@
 // The message-plane abstraction every protocol endpoint programs against.
 //
-// Historically PvrNode, the BGP speakers, and the scenario adversaries were
-// written directly against the concrete discrete-event `net::Simulator`.
-// `net::Transport` lifts the surface they actually used — send(), link
-// queries, the clock, one-shot/periodic scheduling, the wire interceptor,
-// and byte accounting — into a virtual interface with two backends:
+// PvrNode, the gossip relays, and the scenario adversaries use only this
+// surface — send(), link queries, the clock, one-shot scheduling, the wire
+// interceptor, and byte accounting. Three backends implement it:
 //
-//   * `net::SimTransport` — a thin adapter over a `Simulator`. Zero behavior
-//     change: `Simulator::transport()` returns the canonical instance and
-//     every delivery callback now receives it, so the whole existing test
-//     suite runs through this backend.
-//   * `net::SocketTransport` (net/socket_transport.h) — real TCP loopback
-//     sockets, length-framed with the same `Message::wire_size()` model.
+//   * `net::SimTransport` — a thin adapter owned by a `Simulator`
+//     (`Simulator::transport()`); every delivery callback receives it.
+//   * the trace replayer's send-sinking transport (scenario/replay.cpp).
+//   * the lockstep node processes' transport (scenario/multiprocess.cpp),
+//     which relays real bytes over `net::FrameConn` (net/frame.h).
 //
-// What callers may assume, on ANY backend (the conformance suite in
-// tests/net/transport_conformance_test.cpp holds both backends to this):
+// Periodic ticks and delivery-trace recording are simulator API
+// (`Simulator::schedule_periodic`, `Simulator::set_trace`), not part of it.
+//
+// What callers may assume (tests/net/transport_conformance_test.cpp holds
+// the simulator backend to this; the trace-replay and multiprocess parity
+// gates hold the other two to the simulator's fingerprint):
 //
 //   * Per peer-pair FIFO: two messages sent A→B on the same transport are
 //     delivered in send order (absent interceptor delays and drops).
-//   * send() to a pair without a link/connection throws std::logic_error.
+//   * send() to a pair without a link throws std::logic_error.
 //   * The interceptor runs once per send, before any loss, and its drop
 //     decision is counted in stats().messages_dropped.
 //   * now() is monotone and handlers observe the time their event fired.
 //
-// What callers may NOT assume: cross-pair ordering, global determinism
-// (only the simulator backend is deterministic; the socket backend is
-// wall-clock driven and makes runs reproducible by RECORDING a
-// `net::MessageTrace` that replays through a SimTransport — DESIGN.md §13).
+// What callers may NOT assume: cross-pair ordering.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +84,7 @@ struct InterceptDecision {
 using Interceptor = std::function<InterceptDecision(Transport&, const Message&)>;
 
 // Base class for protocol endpoints. Handlers run inside the backend's
-// event loop (Simulator::run or SocketTransport::poll).
+// event loop (Simulator::run, or a lockstep grant in a node process).
 class Node {
  public:
   virtual ~Node() = default;
@@ -131,8 +129,6 @@ struct SimStats {
   }
 };
 
-class MessageTrace;  // net/message_trace.h
-
 // The abstract message plane. One instance serves every node the backend
 // hosts; Message::from/to address endpoints. World construction (node
 // registration, link wiring) stays backend-specific — this interface is
@@ -140,8 +136,6 @@ class MessageTrace;  // net/message_trace.h
 class Transport {
  public:
   virtual ~Transport() = default;
-
-  [[nodiscard]] virtual std::string_view backend_name() const noexcept = 0;
 
   // Sends over an existing link; throws std::logic_error if none exists.
   virtual void send(Message message) = 0;
@@ -154,28 +148,17 @@ class Transport {
   // active; scenario adversaries compose their behaviors inside one hook.
   virtual void set_interceptor(Interceptor interceptor) = 0;
 
-  // The clock: simulated µs on the simulator backend, wall µs since start
-  // on the socket backend.
+  // The clock, in simulated µs.
   [[nodiscard]] virtual SimTime now() const = 0;
 
   // Runs `fn` at absolute transport time `at` (>= now()).
   virtual void schedule(SimTime at, std::function<void()> fn) = 0;
   virtual void schedule_after(SimTime delay, std::function<void()> fn);
 
-  // Runs `fn` every `interval` µs, first at now + interval. Termination
-  // semantics are backend-specific (the simulator stops re-arming once no
-  // real work remains; the socket backend ticks until stop()).
-  virtual void schedule_periodic(SimTime interval, std::function<void()> fn) = 0;
-
   // Wire accounting, same counting rules on every backend: bytes are
   // Message::wire_size() regardless of physical overhead, so byte totals
   // are comparable (and fingerprint-identical) across backends.
   [[nodiscard]] virtual const SimStats& stats() const = 0;
-
-  // Attaches (or detaches, with nullptr) a delivery trace recorder: every
-  // delivered message is appended in delivery order. The pointer is
-  // borrowed and must outlive the attachment.
-  virtual void set_trace(MessageTrace* trace) = 0;
 };
 
 class Simulator;  // net/simulator.h
@@ -188,20 +171,13 @@ class SimTransport final : public Transport {
  public:
   explicit SimTransport(Simulator& sim) noexcept : sim_(&sim) {}
 
-  [[nodiscard]] std::string_view backend_name() const noexcept override {
-    return "sim";
-  }
   void send(Message message) override;
   [[nodiscard]] bool connected(NodeId a, NodeId b) const override;
   [[nodiscard]] std::vector<NodeId> neighbors_of(NodeId id) const override;
   void set_interceptor(Interceptor interceptor) override;
   [[nodiscard]] SimTime now() const override;
   void schedule(SimTime at, std::function<void()> fn) override;
-  void schedule_periodic(SimTime interval, std::function<void()> fn) override;
   [[nodiscard]] const SimStats& stats() const override;
-  void set_trace(MessageTrace* trace) override;
-
-  [[nodiscard]] Simulator& simulator() noexcept { return *sim_; }
 
  private:
   Simulator* sim_;  // not owned

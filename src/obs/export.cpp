@@ -12,6 +12,13 @@ namespace pvr::obs {
 
 namespace {
 
+// Smallest wire form of a snapshot entry, which bounds what a count read
+// from the input may claim: a scalar is an empty name, a domain byte and a
+// u64; a histogram adds count, sum and a bucket count to the name and
+// domain.
+constexpr std::size_t kMinScalarBytes = 4 + 1 + 8;
+constexpr std::size_t kMinHistogramBytes = 4 + 1 + 8 + 8 + 4;
+
 [[nodiscard]] Domain domain_from_wire(std::uint8_t raw) {
   if (raw > static_cast<std::uint8_t>(Domain::kSched)) {
     throw std::invalid_argument("MetricsSnapshot::decode: bad domain byte " +
@@ -92,7 +99,7 @@ MetricsSnapshot MetricsSnapshot::decode(const std::uint8_t* data,
         " != " + std::to_string(kSnapshotWireVersion));
   }
   MetricsSnapshot out;
-  const std::uint32_t n_scalars = reader.get_u32();
+  const std::uint32_t n_scalars = reader.get_count(kMinScalarBytes);
   out.scalars.reserve(n_scalars);
   for (std::uint32_t i = 0; i < n_scalars; ++i) {
     Entry entry;
@@ -101,7 +108,7 @@ MetricsSnapshot MetricsSnapshot::decode(const std::uint8_t* data,
     entry.value = reader.get_u64();
     out.scalars.push_back(std::move(entry));
   }
-  const std::uint32_t n_hists = reader.get_u32();
+  const std::uint32_t n_hists = reader.get_count(kMinHistogramBytes);
   out.histograms.reserve(n_hists);
   for (std::uint32_t i = 0; i < n_hists; ++i) {
     HistEntry entry;

@@ -1,13 +1,13 @@
 // Live introspection for distributed deployments (DESIGN.md §14).
 //
-// A StatsServer is a passive sampler a transport host installs: when a
-// one-frame `kFrameStats` request arrives (SocketTransport control plane,
-// or the conductor's per-grant poll in the lockstep deployment), the host
-// calls sample() and ships the encoded StatsSample back. The sample is a
-// point-in-time view — the process's metrics delta since the server was
-// armed, its transport byte accounting, and the protocol gauges (open
-// rounds / peak) — so a conductor polling every grant cycle accumulates a
-// per-process time series without the children ever pushing.
+// A StatsServer is a passive sampler a node process installs: when the
+// conductor's per-grant `kFrameStats` poll arrives on the lockstep control
+// connection, the process calls sample() and ships the encoded StatsSample
+// back. The sample is a point-in-time view — the process's metrics delta
+// since the server was armed, its transport byte accounting, and the
+// protocol gauges (open rounds / peak) — so a conductor polling every
+// grant cycle accumulates a per-process time series without the children
+// ever pushing.
 //
 // Nothing here touches a hot path: sampling happens only on request, on
 // the single transport/event-loop thread of the sampled process.

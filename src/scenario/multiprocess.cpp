@@ -14,13 +14,11 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/evidence.h"
 #include "core/pvr_speaker.h"
-#include "core/verify_context.h"
 #include "crypto/encoding.h"
 #include "engine/verification_engine.h"
 #include "net/frame.h"
@@ -109,10 +107,6 @@ class LockstepTransport final : public net::Transport {
     return fn;
   }
 
-  [[nodiscard]] std::string_view backend_name() const noexcept override {
-    return "lockstep";
-  }
-
   void send(net::Message message) override {
     if (!links_.contains(norm_pair(message.from, message.to))) {
       throw std::logic_error("LockstepTransport::send: no link between nodes");
@@ -183,14 +177,7 @@ class LockstepTransport final : public net::Transport {
         .send = {},
         .schedule = ScheduleAction{.at = at, .timer_id = id}});
   }
-  void schedule_periodic(net::SimTime interval,
-                         std::function<void()> fn) override {
-    (void)interval;
-    (void)fn;
-    throw std::logic_error("LockstepTransport: periodic tasks unsupported");
-  }
   [[nodiscard]] const net::SimStats& stats() const override { return stats_; }
-  void set_trace(net::MessageTrace* trace) override { (void)trace; }
 
  private:
   const WorldPlan* plan_;
@@ -207,17 +194,6 @@ class LockstepTransport final : public net::Transport {
   // This process's shard of the traffic (kFrameStats polls report it); the
   // conductor's simulator keeps the authoritative report accounting.
   net::SimStats stats_;
-};
-
-struct LocalVerifier {
-  std::size_t hood = 0;
-  std::size_t verifier_index = 0;
-  core::PvrNode* node = nullptr;
-};
-
-struct LocalProver {
-  std::size_t hood = 0;
-  core::PvrNode* node = nullptr;
 };
 
 }  // namespace
@@ -300,42 +276,13 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   control.append(net::kFrameReady, {});
   if (!control.flush_all()) return 2;
 
-  // Local shard of the world: every participant this process owns.
+  // Local shard of the world: every participant this process owns, with a
+  // shard-local world context (the shared precompute amortizes within the
+  // shard, verdicts are identical).
   LockstepTransport transport(plan, process_index, processes);
-  // Shard-local world context (each process builds its own; the shared
-  // precompute amortizes within the shard, verdicts are identical).
-  const core::VerifyContext world_ctx(&plan.keys.directory,
-                                      spec.world_sig_cache);
-  std::vector<std::unique_ptr<core::PvrNode>> owned;
-  std::map<net::NodeId, core::PvrNode*> local_nodes;
-  std::vector<LocalVerifier> local_verifiers;
-  std::vector<LocalProver> local_provers;
-  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
-    const Neighborhood& hood = plan.hoods[h];
-    const auto adopt = [&](bgp::AsNumber asn,
-                           core::PvrRole role) -> core::PvrNode* {
-      if (owner_of(plan, asn, processes) != process_index) return nullptr;
-      core::PvrConfig cfg = plan.node_config(spec, h, asn, role);
-      cfg.verify_ctx = &world_ctx;
-      owned.push_back(std::make_unique<core::PvrNode>(std::move(cfg)));
-      core::PvrNode* raw = owned.back().get();
-      local_nodes.emplace(asn, raw);
-      return raw;
-    };
-    if (core::PvrNode* prover = adopt(hood.prover, core::PvrRole::kProver)) {
-      local_provers.push_back(LocalProver{.hood = h, .node = prover});
-    }
-    const std::vector<bgp::AsNumber> verifier_asns = hood.verifiers();
-    for (std::size_t v = 0; v < verifier_asns.size(); ++v) {
-      const core::PvrRole role = v + 1 == verifier_asns.size()
-                                     ? core::PvrRole::kRecipient
-                                     : core::PvrRole::kProvider;
-      if (core::PvrNode* node = adopt(verifier_asns[v], role)) {
-        local_verifiers.push_back(
-            LocalVerifier{.hood = h, .verifier_index = v, .node = node});
-      }
-    }
-  }
+  const WorldRuntime world(spec, plan, [&](bgp::AsNumber asn) {
+    return owner_of(plan, asn, processes) == process_index;
+  });
 
   // Relayed real messages from peer processes, keyed by cookie. Entries are
   // kept after delivery so an interceptor-replayed placeholder can be
@@ -401,9 +348,9 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       obs::MetricsRegistry::global().snapshot();
   obs::StatsServer stats_server(static_cast<std::uint32_t>(process_index));
   stats_server.arm();
-  stats_server.set_gauges([&local_nodes] {
+  stats_server.set_gauges([&world] {
     obs::StatsServer::Gauges gauges;
-    for (const auto& [asn, node] : local_nodes) {
+    for (const core::PvrNode* node : world.nodes()) {
       gauges.open_rounds += static_cast<std::int64_t>(node->open_rounds());
       gauges.peak_open_rounds =
           std::max(gauges.peak_open_rounds,
@@ -432,7 +379,8 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       transport.begin_grant(at);
       if (kind == kGrantApp) {
         const AppEvent& event = plan.app_events.at(reader.get_u32());
-        core::PvrNode* node = local_nodes.at(event.actor);
+        core::PvrNode* node = world.find(event.actor);
+        if (node == nullptr) return 2;  // granted to the wrong process
         if (event.is_input) {
           node->provide_input(
               transport, event.epoch, event.prefix,
@@ -457,7 +405,9 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
           tracer.flow('f', "msg.flow", "flow", obs::Track::kSim, message.to,
                       at, cookie);
         }
-        local_nodes.at(message.to)->on_message(transport, message);
+        core::PvrNode* node = world.find(message.to);
+        if (node == nullptr) return 2;  // granted to the wrong process
+        node->on_message(transport, message);
       } else {
         return 2;
       }
@@ -491,40 +441,38 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   }
 
   // Offline verification of the local verifier shard, exactly the runner's
-  // loop restricted to locally-owned nodes. Evidence is engine-order
+  // offline pass restricted to locally-owned nodes. Evidence is engine-order
   // deterministic, so shards concatenate into the monolithic logs.
-  engine::VerificationEngine engine({.workers = spec.workers}, &world_ctx);
+  engine::VerificationEngine engine({.workers = spec.workers},
+                                    &world.verify_context());
   engine::EngineReport drained;
   {
     const obs::TraceSpan verify_span("node.verify_shard", "scenario");
-    for (const RoundArrival& arrival : plan.arrivals) {
-      const core::ProtocolId id{
-          .prover = plan.hoods[arrival.neighborhood].prover,
-          .prefix = arrival.prefix,
-          .epoch = arrival.epoch};
-      for (const LocalVerifier& verifier : local_verifiers) {
-        if (verifier.hood != arrival.neighborhood) continue;
-        (void)engine.submit_node_round(*verifier.node, id);
-      }
-    }
-    drained = engine.drain(/*rethrow_errors=*/false);
+    drained = world.verify_offline(engine);
   }
 
   crypto::ByteWriter result;
   result.put_u64(drained.failed_rounds);
-  result.put_u32(static_cast<std::uint32_t>(local_provers.size()));
-  for (const LocalProver& prover : local_provers) {
-    result.put_u32(plan.hoods[prover.hood].prover);
-    result.put_u64(prover.node->rounds_started());
-    result.put_u64(prover.node->windows_fired());
+  const std::vector<net::TraceProverMeta> provers = world.prover_meta();
+  result.put_u32(static_cast<std::uint32_t>(provers.size()));
+  for (const net::TraceProverMeta& prover : provers) {
+    result.put_u32(prover.node);
+    result.put_u64(prover.rounds_started);
+    result.put_u64(prover.windows_fired);
   }
-  result.put_u32(static_cast<std::uint32_t>(local_verifiers.size()));
-  for (const LocalVerifier& verifier : local_verifiers) {
-    result.put_u32(static_cast<std::uint32_t>(verifier.hood));
-    result.put_u32(static_cast<std::uint32_t>(verifier.verifier_index));
-    const std::vector<core::Evidence>& log = verifier.node->evidence();
-    result.put_u32(static_cast<std::uint32_t>(log.size()));
-    for (const core::Evidence& item : log) result.put_bytes(item.encode());
+  // Every verifier slot in (hood, verifier) order: the owner ships its
+  // log, every other process an empty one.
+  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
+    for (const core::PvrNode* verifier : world.hood(h).verifiers) {
+      if (verifier == nullptr) {
+        result.put_u32(0);
+        continue;
+      }
+      result.put_u32(static_cast<std::uint32_t>(verifier->evidence().size()));
+      for (const core::Evidence& item : verifier->evidence()) {
+        result.put_bytes(item.encode());
+      }
+    }
   }
   result.put_u32(static_cast<std::uint32_t>(shard.entries.size()));
   for (const net::TraceEntry& entry : shard.entries) {
@@ -783,11 +731,10 @@ void Conductor::poll_child_stats(std::size_t child) {
 }
 
 void Conductor::collect_results(MultiprocessResult& out) {
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<core::Evidence>>
-      evidence;
-  for (std::size_t h = 0; h < plan_.hoods.size(); ++h) {
-    const std::size_t verifiers = plan_.hoods[h].verifiers().size();
-    for (std::size_t v = 0; v < verifiers; ++v) evidence[{h, v}];
+  // evidence[h][v]: the log of plan_.hoods[h].verifiers()[v].
+  std::vector<std::vector<std::vector<core::Evidence>>> evidence;
+  for (const Neighborhood& hood : plan_.hoods) {
+    evidence.emplace_back(hood.verifiers().size());
   }
   std::map<net::NodeId, net::TraceProverMeta> provers;
 
@@ -814,14 +761,12 @@ void Conductor::collect_results(MultiprocessResult& out) {
       meta.windows_fired = reader.get_u64();
       provers.emplace(meta.node, meta);
     }
-    const std::uint32_t verifier_count = reader.get_u32();
-    for (std::uint32_t i = 0; i < verifier_count; ++i) {
-      const std::size_t hood = reader.get_u32();
-      const std::size_t index = reader.get_u32();
-      const std::uint32_t items = reader.get_u32();
-      std::vector<core::Evidence>& log = evidence.at({hood, index});
-      for (std::uint32_t item = 0; item < items; ++item) {
-        log.push_back(core::Evidence::decode(reader.get_bytes()));
+    for (std::vector<std::vector<core::Evidence>>& hood_logs : evidence) {
+      for (std::vector<core::Evidence>& log : hood_logs) {
+        const std::uint32_t items = reader.get_u32();
+        for (std::uint32_t item = 0; item < items; ++item) {
+          log.push_back(core::Evidence::decode(reader.get_bytes()));
+        }
       }
     }
     const std::uint32_t entry_count = reader.get_u32();
@@ -843,25 +788,12 @@ void Conductor::collect_results(MultiprocessResult& out) {
   for (const auto& [node, meta] : provers) out.trace.provers.push_back(meta);
 
   // Score and account exactly like the monolithic runner.
-  out.report.scenario = spec_.name;
-  out.report.adversary = spec_.adversary;
-  out.report.seed = spec_.seed;
-  out.report.workers = spec_.workers;
-  out.report.online = false;
-  out.report.as_count = plan_.topology.graph.as_count();
-  out.report.neighborhoods = plan_.hoods.size();
-  out.report.pvr_nodes = plan_.participants.size();
-  for (const auto& [node, meta] : provers) {
-    out.report.rounds_started += meta.rounds_started;
-    out.report.windows_fired += meta.windows_fired;
-  }
-  out.report.coalesced = out.report.windows_fired < out.report.rounds_started;
+  fill_report(spec_, plan_, out.trace.provers, out.report);
   out.report.drain_batches = 1;
-  out.report.hw_threads = std::thread::hardware_concurrency();
   score_evidence(plan_,
                  [&evidence](std::size_t h, std::size_t v)
                      -> const std::vector<core::Evidence>& {
-                   return evidence.at({h, v});
+                   return evidence[h][v];
                  },
                  out.report);
   fill_byte_accounting(sim_.stats(), out.report);

@@ -23,8 +23,9 @@
 //
 // Sequence parity is by construction: the conductor's simulator makes the
 // same schedule()/send() calls in the same order as the monolithic run's
-// handlers did, so same-time events tiebreak identically. At the end each
-// child engine-verifies its local verifiers and ships the evidence logs,
+// handlers did, so same-time events tiebreak identically. Each child builds
+// its shard of the world with scenario::WorldRuntime (only the ASes it
+// owns); at the end it engine-verifies them and ships the evidence logs,
 // prover counters, and its MessageTrace shard (conductor-issued sequence
 // numbers) back; the conductor scores with the shared score_evidence pass
 // and merges the shards into one trace that replays through

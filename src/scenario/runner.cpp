@@ -6,16 +6,13 @@
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <memory>
-#include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/evidence.h"
 #include "core/pvr_speaker.h"
-#include "core/verify_context.h"
 #include "engine/verification_engine.h"
+#include "net/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scenario/world.h"
@@ -29,18 +26,6 @@ namespace {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-// Per-hood node pointers, resolved ONCE at world-build time. The pre-PR-5
-// runner re-did a dynamic_cast<core::PvrNode&> inside every hot scheduling
-// lambda (per provider input, per start_round) and again per verifier at
-// verification and scoring time; the cached pointers make those paths a
-// plain indexed load (measured in bench_scenarios' rounds_per_sec).
-struct HoodNodes {
-  core::PvrNode* prover = nullptr;
-  std::vector<core::PvrNode*> providers;  // Neighborhood::providers order
-  std::vector<core::PvrNode*> verifiers;  // Neighborhood::verifiers() order
-  std::vector<core::PvrNode*> members;    // prover + verifiers
-};
 
 }  // namespace
 
@@ -102,11 +87,6 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
         "run_scenario: online mode needs a nonzero drain_interval_us");
   }
   ScenarioReport report;
-  report.scenario = spec.name;
-  report.adversary = spec.adversary;
-  report.seed = spec.seed;
-  report.workers = spec.workers;
-  report.online = spec.online;
 
   // Crypto profile baseline: the report's rsa_verifies/sig_cache_hits are
   // this run's delta of the process-wide counters (scenario runs are
@@ -126,47 +106,18 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   // identical world (world.h).
   WorldPlan plan = plan_world(spec);
   const std::vector<Neighborhood>& hoods = plan.hoods;
-  report.as_count = plan.topology.graph.as_count();
-  report.neighborhoods = hoods.size();
-  report.pvr_nodes = plan.participants.size();
 
-  // 4. World: one PvrNode per participant, star + verifier-mesh links with
-  // the planned jittered latencies. Node pointers are resolved here, once —
-  // the scheduling lambdas, the verification loops, and the scoring pass
-  // below all reuse them instead of re-running a dynamic_cast per event.
+  // 4. World: one PvrNode per participant (owned by the simulator that
+  // delivers to them, which is destroyed before the runtime's verify
+  // context), star + verifier-mesh links with the planned jittered
+  // latencies. The runtime resolves node pointers once — the scheduling
+  // lambdas, the verification loops, and the scoring pass below all reuse
+  // them instead of looking nodes up per event.
+  WorldRuntime world(spec, plan);
   net::Simulator sim(spec.seed);
   net::Transport& transport = sim.transport();
   if (record != nullptr) sim.set_trace(record);
-  // The world-shared verification context: every node and engine worker
-  // verifies through it, sharing per-key Montgomery precompute and (when
-  // spec.world_sig_cache) the verified-signature cache. Verdicts match the
-  // per-directory context exactly, so the fingerprint cannot see it.
-  const core::VerifyContext world_ctx(&plan.keys.directory,
-                                      spec.world_sig_cache);
-  std::vector<HoodNodes> hood_nodes(hoods.size());
-  for (std::size_t h = 0; h < hoods.size(); ++h) {
-    const Neighborhood& hood = hoods[h];
-    const auto add_node = [&](bgp::AsNumber asn,
-                              core::PvrRole role) -> core::PvrNode* {
-      core::PvrConfig cfg = plan.node_config(spec, h, asn, role);
-      cfg.verify_ctx = &world_ctx;
-      auto node = std::make_unique<core::PvrNode>(std::move(cfg));
-      core::PvrNode* raw = node.get();
-      sim.add_node(asn, std::move(node));
-      return raw;
-    };
-    HoodNodes& nodes = hood_nodes[h];
-    nodes.prover = add_node(hood.prover, core::PvrRole::kProver);
-    core::PvrNode* recipient = add_node(hood.recipient, core::PvrRole::kRecipient);
-    for (const bgp::AsNumber provider : hood.providers) {
-      nodes.providers.push_back(add_node(provider, core::PvrRole::kProvider));
-    }
-    // Same order as Neighborhood::verifiers(): providers, then recipient.
-    nodes.verifiers = nodes.providers;
-    nodes.verifiers.push_back(recipient);
-    nodes.members = nodes.verifiers;
-    nodes.members.push_back(nodes.prover);
-  }
+  world.register_with(sim);
   for (const PlannedLink& link : plan.links) {
     sim.connect(link.a, link.b, link.config);
   }
@@ -177,14 +128,14 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   for (const AppEvent& event : plan.app_events) {
     if (event.is_input) {
       core::PvrNode* provider_node =
-          hood_nodes[event.hood].providers[event.provider_index];
+          world.hood(event.hood).providers[event.provider_index];
       sim.schedule(event.at, [&transport, provider_node, event] {
         provider_node->provide_input(
             transport, event.epoch, event.prefix,
             provider_route(event.prefix, event.actor, event.route_length));
       });
     } else {
-      core::PvrNode* prover_node = hood_nodes[event.hood].prover;
+      core::PvrNode* prover_node = world.hood(event.hood).prover;
       sim.schedule(event.at, [&transport, prover_node, event] {
         prover_node->start_round(transport, event.epoch, event.prefix);
       });
@@ -201,7 +152,8 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   // is COUNTED (report.verify_failures, gated nonzero-fatal by the bench
   // and CI) instead of silently discarded like the pre-PR-5
   // `(void)engine.drain()` — or, worse, aborting the whole trace.
-  engine::VerificationEngine engine({.workers = spec.workers}, &world_ctx);
+  engine::VerificationEngine engine({.workers = spec.workers},
+                                    &world.verify_context());
   const bool pipelined = spec.online && spec.pipelined;
   double verify_blocked_ms = 0;  // sim-thread wall time spent on verification
   double overlapped_ms = 0;      // fold time that overlapped the simulation
@@ -261,9 +213,11 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     const obs::TraceSpan span("scenario.harvest", "scenario");
     consume_report(engine.collect(/*rethrow_errors=*/false));
     for (const SettledEntry& entry : inflight) {
-      for (core::PvrNode* member : hood_nodes[entry.hood].members) {
-        (void)member->gc_finalized(entry.id);
+      const WorldRuntime::Hood& nodes = world.hood(entry.hood);
+      for (core::PvrNode* verifier : nodes.verifiers) {
+        (void)verifier->gc_finalized(entry.id);
       }
+      (void)nodes.prover->gc_finalized(entry.id);
       const auto left = epoch_rounds_left.find({entry.hood, entry.id.epoch});
       if (left != epoch_rounds_left.end() && --left->second == 0) {
         // The settle horizon bounds gossip chains AND the adversary's
@@ -273,9 +227,10 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
         // re-create round state, which the fingerprint-parity gates would
         // catch (same empirical enforcement as the horizon itself).
         const bgp::AsNumber prover = hoods[entry.hood].prover;
-        for (core::PvrNode* member : hood_nodes[entry.hood].members) {
-          (void)member->gc_epoch_roots(prover, entry.id.epoch);
+        for (core::PvrNode* verifier : nodes.verifiers) {
+          (void)verifier->gc_epoch_roots(prover, entry.id.epoch);
         }
+        (void)nodes.prover->gc_epoch_roots(prover, entry.id.epoch);
         epoch_rounds_left.erase(left);
       }
     }
@@ -299,9 +254,7 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     const obs::TraceSpan flush_span("scenario.drain_flush", "scenario");
     obs::TraceWriter& tracer = obs::TraceWriter::global();
     for (const SettledEntry& entry : batch) {
-      for (core::PvrNode* verifier : hood_nodes[entry.hood].verifiers) {
-        (void)engine.submit_node_round(*verifier, entry.id);
-      }
+      world.submit_round(engine, entry.hood, entry.id);
       // Settle latency in SIM time, recorded at SUBMISSION: the round's
       // window closed at settled_at - settle_horizon and this tick is when
       // its verification was sealed. Identical at any worker count (the
@@ -328,7 +281,7 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     report.settle_horizon_us = settle_horizon;
     for (std::size_t h = 0; h < hoods.size(); ++h) {
       const bgp::AsNumber prover = hoods[h].prover;
-      hood_nodes[h].prover->set_window_close_handler(
+      world.hood(h).prover->set_window_close_handler(
           [&sim, &pending, settle_horizon, h, prover](
               std::uint64_t epoch, const std::vector<bgp::Ipv4Prefix>& prefixes) {
             const net::SimTime settled_at = sim.now() + settle_horizon;
@@ -388,16 +341,7 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     harvest();
   } else {
     const double t_verify = now_ms();
-    for (const RoundArrival& arrival : plan.arrivals) {
-      const Neighborhood& hood = hoods[arrival.neighborhood];
-      const core::ProtocolId id{.prover = hood.prover,
-                                .prefix = arrival.prefix,
-                                .epoch = arrival.epoch};
-      for (core::PvrNode* verifier : hood_nodes[arrival.neighborhood].verifiers) {
-        (void)engine.submit_node_round(*verifier, id);
-      }
-    }
-    consume_report(engine.drain(/*rethrow_errors=*/false));
+    consume_report(world.verify_offline(engine));
     verify_blocked_ms += now_ms() - t_verify;
   }
   report.wall_ms = now_ms() - t_sim;
@@ -408,29 +352,20 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   // 7. Score: the canonical pass shared with replay and the multiprocess
   // conductor (world.h) — identical evidence logs in identical order must
   // score identically wherever they were produced.
-  score_evidence(plan,
-                 [&hood_nodes](std::size_t h, std::size_t v)
-                     -> const std::vector<core::Evidence>& {
-                   return hood_nodes[h].verifiers[v]->evidence();
-                 },
-                 report);
-
-  for (const HoodNodes& nodes : hood_nodes) {
-    report.rounds_started += nodes.prover->rounds_started();
-    report.windows_fired += nodes.prover->windows_fired();
-    for (const core::PvrNode* member : nodes.members) {
-      report.peak_open_rounds =
-          std::max(report.peak_open_rounds,
-                   static_cast<std::uint64_t>(member->peak_open_rounds()));
-      report.peak_root_digests = std::max(
-          report.peak_root_digests,
-          static_cast<std::uint64_t>(member->peak_seen_root_digests()));
-      report.final_root_epochs =
-          std::max(report.final_root_epochs,
-                   static_cast<std::uint64_t>(member->seen_root_epochs()));
-    }
+  world.score(report);
+  const std::vector<net::TraceProverMeta> provers = world.prover_meta();
+  fill_report(spec, plan, provers, report);
+  for (const core::PvrNode* node : world.nodes()) {
+    report.peak_open_rounds =
+        std::max(report.peak_open_rounds,
+                 static_cast<std::uint64_t>(node->peak_open_rounds()));
+    report.peak_root_digests =
+        std::max(report.peak_root_digests,
+                 static_cast<std::uint64_t>(node->peak_seen_root_digests()));
+    report.final_root_epochs =
+        std::max(report.final_root_epochs,
+                 static_cast<std::uint64_t>(node->seen_root_epochs()));
   }
-  report.coalesced = report.windows_fired < report.rounds_started;
 
   fill_byte_accounting(sim.stats(), report);
 
@@ -443,13 +378,7 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     record->seed = spec.seed;
     record->backend = "sim";
     record->stats = sim.stats();
-    record->provers.clear();
-    for (std::size_t h = 0; h < hoods.size(); ++h) {
-      record->provers.push_back(net::TraceProverMeta{
-          .node = hoods[h].prover,
-          .rounds_started = hood_nodes[h].prover->rounds_started(),
-          .windows_fired = hood_nodes[h].prover->windows_fired()});
-    }
+    record->provers = provers;
   }
 
   report.p50_settle_us = settle_hist.quantile(0.5);
@@ -463,7 +392,6 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   // Throughput over MEASURED elapsed time: with pipelining, wall_ms can be
   // less than sim_ms + verify_ms (the overlapped share is counted in both),
   // and the rate should credit that overlap.
-  report.hw_threads = std::thread::hardware_concurrency();
   report.rounds_per_sec =
       report.wall_ms <= 0.0 ? 0.0
                             : static_cast<double>(report.rounds_started) /

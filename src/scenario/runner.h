@@ -5,14 +5,15 @@
 //   ScenarioReport report = run_scenario(spec);
 //   puts(report.to_json_line().c_str());
 //
-// One run: generate a power-law topology, carve disjoint Figure-1
-// neighborhoods out of it, build PvrNodes over the simulator, arm the
-// adversary (prover misbehavior + wire interceptor), schedule jittered
-// round traffic, verify every round through the parallel engine — either
-// offline (run to quiescence, then one drain) or online (ScenarioSpec::
-// online: rounds stream into a long-lived engine as their windows close,
-// drained every drain_interval_us of sim time, settled state GC'd) — and
-// score the outcome. Everything except the wall-clock and drain-schedule
+// One run: plan the world (world.h: a power-law topology, disjoint
+// Figure-1 neighborhoods carved out of it, keys, links, jittered round
+// traffic), build its PvrNodes with a WorldRuntime and hand them to the
+// simulator, arm the adversary (prover misbehavior + wire interceptor),
+// schedule the traffic, verify every round through the parallel engine —
+// either offline (run to quiescence, then one drain) or online
+// (ScenarioSpec::online: rounds stream into a long-lived engine as their
+// windows close, drained every drain_interval_us of sim time, settled
+// state GC'd) — and score the outcome. Everything except the wall-clock and drain-schedule
 // fields of the report is a pure function of (spec) — fingerprint() is the
 // byte-identity the determinism gates compare across worker counts, drain
 // intervals, and online vs offline mode.

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "core/bundle_aggregation.h"
 #include "crypto/sha256.h"
+#include "net/simulator.h"
 
 namespace pvr::scenario {
 
@@ -71,6 +73,45 @@ void append_covered_rounds(const core::Evidence& item,
   return attacked;
 }
 
+// The PvrConfig of `asn` playing `role` in plan.hoods[hood] — the one
+// derivation every deployment builds its nodes from.
+[[nodiscard]] core::PvrConfig node_config(const ScenarioSpec& spec,
+                                          const WorldPlan& plan,
+                                          std::size_t hood, bgp::AsNumber asn,
+                                          core::PvrRole role) {
+  const Neighborhood& neighborhood = plan.hoods[hood];
+  return core::PvrConfig{
+      .asn = asn,
+      .role = role,
+      .directory = &plan.keys.directory,
+      .private_key = &plan.keys.private_keys.at(asn).priv,
+      .op = core::OperatorKind::kMinimum,
+      .max_len = spec.max_len,
+      .prover = neighborhood.prover,
+      .providers = neighborhood.providers,
+      .recipient = neighborhood.recipient,
+      .collect_window = spec.collect_window,
+      .batch_deadline = spec.batch_deadline,
+      .misbehavior = role == core::PvrRole::kProver && plan.attacked[hood]
+                         ? plan.misbehavior
+                         : core::ProverMisbehavior{},
+      .rng_seed = spec.seed,
+      .gossip_hop_budget = spec.gossip_hop_budget,
+  };
+}
+
+// Index of `asn` in the sorted participant list, or participants.size()
+// when it is not a participant.
+[[nodiscard]] std::size_t participant_index(const WorldPlan& plan,
+                                            bgp::AsNumber asn) {
+  const auto it = std::lower_bound(plan.participants.begin(),
+                                   plan.participants.end(), asn);
+  if (it == plan.participants.end() || *it != asn) {
+    return plan.participants.size();
+  }
+  return static_cast<std::size_t>(it - plan.participants.begin());
+}
+
 }  // namespace
 
 bgp::Route provider_route(const bgp::Ipv4Prefix& prefix,
@@ -108,30 +149,6 @@ net::SimTime settle_horizon_for(const ScenarioSpec& spec,
       static_cast<net::SimTime>(spec.gossip_hop_budget) + 1;
   const net::SimTime cascades = static_cast<net::SimTime>(max_verifiers) + 2;
   return per_hop * (chain * cascades + 1) + adversary.max_replay_lag();
-}
-
-core::PvrConfig WorldPlan::node_config(const ScenarioSpec& spec,
-                                       std::size_t hood, bgp::AsNumber asn,
-                                       core::PvrRole role) const {
-  const Neighborhood& neighborhood = hoods[hood];
-  return core::PvrConfig{
-      .asn = asn,
-      .role = role,
-      .directory = &keys.directory,
-      .private_key = &keys.private_keys.at(asn).priv,
-      .op = core::OperatorKind::kMinimum,
-      .max_len = spec.max_len,
-      .prover = neighborhood.prover,
-      .providers = neighborhood.providers,
-      .recipient = neighborhood.recipient,
-      .collect_window = spec.collect_window,
-      .batch_deadline = spec.batch_deadline,
-      .misbehavior = role == core::PvrRole::kProver && attacked[hood]
-                         ? misbehavior
-                         : core::ProverMisbehavior{},
-      .rng_seed = spec.seed,
-      .gossip_hop_budget = spec.gossip_hop_budget,
-  };
 }
 
 WorldPlan plan_world(const ScenarioSpec& spec) {
@@ -286,6 +303,109 @@ void score_evidence(const WorldPlan& plan, const EvidenceAccessor& evidence_of,
           ? 1.0
           : static_cast<double>(detected.size()) /
                 static_cast<double>(attacked_rounds.size());
+}
+
+void fill_report(const ScenarioSpec& spec, const WorldPlan& plan,
+                 std::span<const net::TraceProverMeta> provers,
+                 ScenarioReport& report) {
+  report.scenario = spec.name;
+  report.adversary = spec.adversary;
+  report.seed = spec.seed;
+  report.workers = spec.workers;
+  report.online = spec.online;
+  report.hw_threads = std::thread::hardware_concurrency();
+  report.as_count = plan.topology.graph.as_count();
+  report.neighborhoods = plan.hoods.size();
+  report.pvr_nodes = plan.participants.size();
+  for (const net::TraceProverMeta& prover : provers) {
+    report.rounds_started += prover.rounds_started;
+    report.windows_fired += prover.windows_fired;
+  }
+  report.coalesced = report.windows_fired < report.rounds_started;
+}
+
+WorldRuntime::WorldRuntime(const ScenarioSpec& spec, const WorldPlan& plan,
+                           const std::function<bool(bgp::AsNumber)>& owns)
+    : plan_(&plan),
+      ctx_(&plan.keys.directory, spec.world_sig_cache),
+      by_participant_(plan.participants.size(), nullptr),
+      hoods_(plan.hoods.size()) {
+  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
+    const Neighborhood& hood = plan.hoods[h];
+    const auto build = [&](bgp::AsNumber asn,
+                           core::PvrRole role) -> core::PvrNode* {
+      if (owns && !owns(asn)) return nullptr;
+      core::PvrConfig cfg = node_config(spec, plan, h, asn, role);
+      cfg.verify_ctx = &ctx_;
+      owned_.push_back(std::make_unique<core::PvrNode>(std::move(cfg)));
+      core::PvrNode* node = owned_.back().get();
+      nodes_.push_back(node);
+      by_participant_[participant_index(plan, asn)] = node;
+      return node;
+    };
+    Hood& nodes = hoods_[h];
+    nodes.prover = build(hood.prover, core::PvrRole::kProver);
+    core::PvrNode* recipient = build(hood.recipient, core::PvrRole::kRecipient);
+    for (const bgp::AsNumber provider : hood.providers) {
+      nodes.providers.push_back(build(provider, core::PvrRole::kProvider));
+    }
+    nodes.verifiers = nodes.providers;
+    nodes.verifiers.push_back(recipient);
+  }
+}
+
+void WorldRuntime::register_with(net::Simulator& sim) {
+  for (std::unique_ptr<core::PvrNode>& node : owned_) {
+    const bgp::AsNumber asn = node->asn();
+    sim.add_node(asn, std::move(node));
+  }
+  owned_.clear();
+}
+
+core::PvrNode* WorldRuntime::find(bgp::AsNumber asn) const {
+  const std::size_t index = participant_index(*plan_, asn);
+  return index < by_participant_.size() ? by_participant_[index] : nullptr;
+}
+
+void WorldRuntime::submit_round(engine::VerificationEngine& engine,
+                                std::size_t hood,
+                                const core::ProtocolId& id) const {
+  for (core::PvrNode* verifier : hoods_[hood].verifiers) {
+    if (verifier != nullptr) (void)engine.submit_node_round(*verifier, id);
+  }
+}
+
+engine::EngineReport WorldRuntime::verify_offline(
+    engine::VerificationEngine& engine) const {
+  for (const RoundArrival& arrival : plan_->arrivals) {
+    const core::ProtocolId id{
+        .prover = plan_->hoods[arrival.neighborhood].prover,
+        .prefix = arrival.prefix,
+        .epoch = arrival.epoch};
+    submit_round(engine, arrival.neighborhood, id);
+  }
+  return engine.drain(/*rethrow_errors=*/false);
+}
+
+std::vector<net::TraceProverMeta> WorldRuntime::prover_meta() const {
+  std::vector<net::TraceProverMeta> out;
+  for (const Hood& hood : hoods_) {
+    if (hood.prover == nullptr) continue;
+    out.push_back(net::TraceProverMeta{
+        .node = hood.prover->asn(),
+        .rounds_started = hood.prover->rounds_started(),
+        .windows_fired = hood.prover->windows_fired()});
+  }
+  return out;
+}
+
+void WorldRuntime::score(ScenarioReport& report) const {
+  score_evidence(*plan_,
+                 [this](std::size_t h, std::size_t v)
+                     -> const std::vector<core::Evidence>& {
+                   return hoods_[h].verifiers[v]->evidence();
+                 },
+                 report);
 }
 
 void fill_byte_accounting(const net::SimStats& stats, ScenarioReport& report) {

@@ -1,4 +1,5 @@
-// The deterministic world plan shared by every scenario entry point.
+// The deterministic world plan shared by every scenario entry point, and
+// the runtime that turns it into live, verifiable nodes.
 //
 // run_scenario (runner.cpp), the trace replayer (replay.h), and the
 // multiprocess conductor/participants (multiprocess.h) must all construct
@@ -9,16 +10,30 @@
 // (every DRBG stream it consumes is seeded from spec.seed with a fixed
 // personalization string), producing a value two processes can re-derive
 // independently and agree on byte for byte.
+//
+// WorldRuntime is the single place a plan becomes PvrNodes: it owns the
+// world VerifyContext, builds every node (or a node process's owned
+// shard), submits verifier rounds to an engine, and scores the evidence.
+// The simulator run, trace replay, and the lockstep node processes differ
+// only in which message plane drives the nodes it built.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/pvr_speaker.h"
+#include "core/verify_context.h"
+#include "engine/verification_engine.h"
+#include "net/message_trace.h"
 #include "scenario/runner.h"
+
+namespace pvr::net {
+class Simulator;
+}  // namespace pvr::net
 
 namespace pvr::scenario {
 
@@ -65,14 +80,6 @@ struct WorldPlan {
   std::vector<PlannedLink> links;
   std::vector<RoundArrival> arrivals;
   std::vector<AppEvent> app_events;
-
-  // The PvrConfig the canonical runner builds for `asn` playing `role` in
-  // hoods[hood] — replay and the multiprocess participants construct nodes
-  // from exactly this.
-  [[nodiscard]] core::PvrConfig node_config(const ScenarioSpec& spec,
-                                            std::size_t hood,
-                                            bgp::AsNumber asn,
-                                            core::PvrRole role) const;
 };
 
 // Derives the full plan. Throws like run_scenario: std::invalid_argument
@@ -104,6 +111,79 @@ using EvidenceAccessor = std::function<const std::vector<core::Evidence>&(
 // reproduced the canonical one.
 void score_evidence(const WorldPlan& plan, const EvidenceAccessor& evidence_of,
                     ScenarioReport& report);
+
+// The report fields every deployment fills the same way: identity
+// (scenario, adversary, seed, workers = spec.workers, online = spec.online,
+// hw_threads), world shape (as_count, neighborhoods, pvr_nodes), and the
+// prover counters summed over `provers` (rounds_started, windows_fired,
+// coalesced) — live nodes' counters, or the ones a trace or node process
+// carried back.
+void fill_report(const ScenarioSpec& spec, const WorldPlan& plan,
+                 std::span<const net::TraceProverMeta> provers,
+                 ScenarioReport& report);
+
+// The live protocol state of a planned world. Builds one PvrNode per
+// participant from the plan — every participant, or only those `owns`
+// accepts (a node process keeps owner_of(...) == its index) — all
+// verifying through the runtime's world VerifyContext, which every engine
+// verifying them must share (verify_context()).
+//
+// Node ownership: the runtime owns the nodes it builds until
+// register_with() hands them to a net::Simulator that delivers to them
+// (the runner); replay and node processes keep them in the runtime. The
+// cached pointers below stay valid either way for as long as the owner
+// lives, so per-event paths are a plain indexed load.
+class WorldRuntime {
+ public:
+  // hoods[h]'s nodes; nullptr where `owns` rejected the AS.
+  struct Hood {
+    core::PvrNode* prover = nullptr;
+    std::vector<core::PvrNode*> providers;  // Neighborhood::providers order
+    std::vector<core::PvrNode*> verifiers;  // Neighborhood::verifiers() order
+  };
+
+  // `plan` is borrowed and must outlive the runtime.
+  WorldRuntime(const ScenarioSpec& spec, const WorldPlan& plan,
+               const std::function<bool(bgp::AsNumber)>& owns = {});
+  WorldRuntime(const WorldRuntime&) = delete;
+  WorldRuntime& operator=(const WorldRuntime&) = delete;
+
+  // Moves every node into `sim` (registered under its ASN), which then owns
+  // them and delivers their messages.
+  void register_with(net::Simulator& sim);
+
+  [[nodiscard]] const core::VerifyContext& verify_context() const noexcept {
+    return ctx_;
+  }
+  [[nodiscard]] const Hood& hood(std::size_t h) const { return hoods_[h]; }
+  // Every node built here, in build order.
+  [[nodiscard]] std::span<core::PvrNode* const> nodes() const noexcept {
+    return nodes_;
+  }
+  // The node for `asn`, or nullptr when it was not built here.
+  [[nodiscard]] core::PvrNode* find(bgp::AsNumber asn) const;
+
+  // Submits round `id` of hoods[hood] for every verifier built here.
+  void submit_round(engine::VerificationEngine& engine, std::size_t hood,
+                    const core::ProtocolId& id) const;
+  // Offline verification: submits every planned round, in arrival order,
+  // then drains once without rethrowing (failures are counted).
+  engine::EngineReport verify_offline(engine::VerificationEngine& engine) const;
+
+  // The counters of every prover built here, in hood order.
+  [[nodiscard]] std::vector<net::TraceProverMeta> prover_meta() const;
+  // score_evidence over the live verifiers' logs; every verifier must have
+  // been built here.
+  void score(ScenarioReport& report) const;
+
+ private:
+  const WorldPlan* plan_;
+  core::VerifyContext ctx_;
+  std::vector<std::unique_ptr<core::PvrNode>> owned_;  // until register_with
+  std::vector<core::PvrNode*> nodes_;
+  std::vector<core::PvrNode*> by_participant_;  // plan.participants order
+  std::vector<Hood> hoods_;
+};
 
 // Byte accounting from a stats snapshot — the live simulator's, or the
 // recorded SimStats a MessageTrace carries.

@@ -4,12 +4,25 @@
 // "an unknown subset of the networks ... can behave arbitrarily".
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <functional>
+#include <new>
+#include <ostream>
+#include <stdexcept>
+
 #include "baseline/sbgp.h"
 #include "bgp/messages.h"
 #include "core/graph_commitment.h"
 #include "core/min_protocol.h"
 #include "crypto/drbg.h"
+#include "net/frame.h"
 #include "net/gossip.h"
+#include "net/message_trace.h"
+#include "obs/metrics.h"
 
 namespace pvr {
 namespace {
@@ -179,6 +192,110 @@ TEST(DecoderRobustness, VerifiersSurviveGarbageEnvelopes) {
     EXPECT_FALSE(core::check_equivocation(keys.directory, 11, garbage, garbage)
                      .has_value());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Length fields cannot force allocations: a count read from the input is
+// checked against the bytes that remain before anything is reserved.
+// ---------------------------------------------------------------------------
+
+// ASan and TSan reserve terabytes of shadow memory and cannot run under an
+// address-space cap.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kAddressSpaceCapUsable = false;
+#else
+constexpr bool kAddressSpaceCapUsable = true;
+#endif
+
+enum class CappedOutcome { kOutOfRange, kDecoded, kBadAlloc, kOther, kCrashed };
+
+std::ostream& operator<<(std::ostream& out, CappedOutcome outcome) {
+  constexpr const char* kNames[] = {"std::out_of_range", "decoded",
+                                    "std::bad_alloc", "another exception",
+                                    "crashed"};
+  return out << kNames[static_cast<int>(outcome)];
+}
+
+// Runs `decode` in a forked child whose address space may grow by at most
+// 1 GiB, and reports how it ended.
+[[nodiscard]] CappedOutcome decode_under_cap(const std::function<void()>& decode) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    std::size_t pages = 0;
+    if (std::FILE* statm = std::fopen("/proc/self/statm", "r")) {
+      if (std::fscanf(statm, "%zu", &pages) != 1) pages = 0;
+      std::fclose(statm);
+    }
+    const rlim_t cap = static_cast<rlim_t>(pages) *
+                           static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) +
+                       (rlim_t{1} << 30);
+    const rlimit limit{.rlim_cur = cap, .rlim_max = cap};
+    if (::setrlimit(RLIMIT_AS, &limit) != 0) ::_exit(99);
+    CappedOutcome outcome = CappedOutcome::kDecoded;
+    try {
+      decode();
+    } catch (const std::out_of_range&) {
+      outcome = CappedOutcome::kOutOfRange;
+    } catch (const std::bad_alloc&) {
+      outcome = CappedOutcome::kBadAlloc;
+    } catch (...) {
+      outcome = CappedOutcome::kOther;
+    }
+    ::_exit(static_cast<int>(outcome));
+  }
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
+    return CappedOutcome::kCrashed;
+  }
+  const int code = WEXITSTATUS(status);
+  return code <= static_cast<int>(CappedOutcome::kOther)
+             ? static_cast<CappedOutcome>(code)
+             : CappedOutcome::kCrashed;
+}
+
+TEST(DecoderAllocationTest, MessageBodyLengthCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // Addressing, an empty channel, then a payload length of ~4 GiB.
+  const std::vector<std::uint8_t> body = {0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                          0, 0xFF, 0xFF, 0xFF, 0xF0};
+  EXPECT_EQ(decode_under_cap([&] { (void)net::decode_message_body(body); }),
+            CappedOutcome::kOutOfRange);
+}
+
+TEST(DecoderAllocationTest, MetricsSnapshotCountsCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // Wire version 1, then 2^32 - 1 scalars.
+  const std::vector<std::uint8_t> scalars = {0, 1, 0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(
+      decode_under_cap([&] { (void)obs::MetricsSnapshot::decode(scalars); }),
+      CappedOutcome::kOutOfRange);
+  // No scalars, then 2^32 - 1 histograms.
+  const std::vector<std::uint8_t> histograms = {0, 1, 0,    0,    0,   0,
+                                                0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(decode_under_cap(
+                [&] { (void)obs::MetricsSnapshot::decode(histograms); }),
+            CappedOutcome::kOutOfRange);
+}
+
+TEST(DecoderAllocationTest, MessageTraceCountsCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // A valid empty trace's header, then a huge entry count; and a valid
+  // empty trace whose prover count is replaced by a huge one.
+  const std::vector<std::uint8_t> empty = net::MessageTrace{}.encode();
+  const std::size_t header = 4 + 4 + 4 + 8 + 4;  // magic, version, "", seed, ""
+  std::vector<std::uint8_t> entries(empty.begin(),
+                                    empty.begin() + static_cast<std::ptrdiff_t>(header));
+  for (const std::uint8_t byte : {0, 0, 0, 1, 0, 0, 0, 0}) {
+    entries.push_back(byte);  // 2^32 entries
+  }
+  EXPECT_EQ(decode_under_cap([&] { (void)net::MessageTrace::decode(entries); }),
+            CappedOutcome::kOutOfRange);
+
+  std::vector<std::uint8_t> provers = empty;
+  ASSERT_GE(provers.size(), 8u);
+  provers[provers.size() - 5] = 1;  // prover count (last u64) = 2^32
+  EXPECT_EQ(decode_under_cap([&] { (void)net::MessageTrace::decode(provers); }),
+            CappedOutcome::kOutOfRange);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Socket-backend internals: the canonical message-body codec (chunking at
-// the 64 KiB boundary, malformed-input rejection), FrameConn reassembly
-// across partial reads, the disconnect-mid-message contract (a torn
-// trailing frame is discarded, never delivered), and the wall-clock timer
-// wheel.
+// The lockstep deployment's wire framing: the canonical message-body codec
+// (chunking at the 64 KiB boundary, malformed-input rejection), FrameConn's
+// write path (append + flush) for multi-chunk bodies, reassembly across
+// partial reads, and the dead-peer contracts (a torn trailing frame is
+// discarded, a zero-length frame reports the connection dead).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "net/frame.h"
-#include "net/socket_transport.h"
 
 namespace pvr::net {
 namespace {
@@ -129,50 +128,74 @@ TEST(FrameConnTest, DisconnectMidMessageDiscardsTornFrame) {
   EXPECT_EQ(delivered, 1u) << "the torn trailing frame must be discarded";
 }
 
-TEST(SocketTransportTest, TimersFireInOrderAndPeriodicsRepeatUntilStop) {
-  SocketTransport transport;
-  std::vector<int> fired;
-  const SimTime base = transport.now();
-  transport.schedule(base + 4000, [&] { fired.push_back(2); });
-  transport.schedule(base + 1000, [&] { fired.push_back(1); });
-  std::size_t ticks = 0;
-  transport.schedule_periodic(2000, [&] {
-    ticks += 1;
-    if (ticks >= 3) transport.stop();
-  });
-  transport.run_for(2'000'000);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], 1);
-  EXPECT_EQ(fired[1], 2);
-  EXPECT_EQ(ticks, 3u) << "periodic must repeat until stop()";
+TEST(FrameConnTest, WritePathCarriesEveryChunkBoundaryInOrder) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameConn writer(fds[1]);
+  FrameConn reader(fds[0]);
+
+  const std::vector<std::size_t> sizes = {
+      0, 1, kWireChunkPayload - 1, kWireChunkPayload, kWireChunkPayload + 1,
+      3 * kWireChunkPayload + 17};
+  std::vector<Message> sent;
+  std::vector<Message> received;
+  const auto on_frame = [&](std::uint8_t type,
+                            std::span<const std::uint8_t> data) {
+    EXPECT_EQ(type, kFrameMessage);
+    received.push_back(decode_message_body(data));
+  };
+  // Queue each body while earlier ones are still partly unwritten, so the
+  // outgoing queue is appended to and compacted mid-flight.
+  for (const std::size_t size : sizes) {
+    sent.push_back(Message{.from = 11,
+                           .to = 22,
+                           .channel = "pvr.bundle.agg",
+                           .payload = patterned(size)});
+    writer.append(kFrameMessage, encode_message_body(sent.back()));
+    ASSERT_TRUE(writer.flush());
+    ASSERT_TRUE(reader.read_frames(on_frame));
+  }
+  for (int i = 0; i < 10'000 && received.size() < sizes.size(); ++i) {
+    ASSERT_TRUE(writer.flush());
+    ASSERT_TRUE(reader.read_frames(on_frame));
+  }
+  EXPECT_FALSE(writer.has_pending_out());
+  ASSERT_EQ(received.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(received[i].channel, sent[i].channel);
+    EXPECT_EQ(received[i].payload, sent[i].payload)
+        << "payload size " << sizes[i] << " corrupted or reordered";
+  }
 }
 
-TEST(SocketTransportTest, HelloHandshakePopulatesRoutesAndNeighbors) {
-  struct Sink final : Node {
-    void on_message(Transport&, const Message&) override {}
-  };
-  Sink a_node;
-  Sink b_node;
-  SocketTransport a;
-  SocketTransport b;
-  a.add_node(1, &a_node);
-  b.add_node(2, &b_node);
-  const std::uint16_t port = b.listen(0);
-  a.connect_to(port);
-  for (int i = 0; i < 2000 && !(a.connected(1, 2) && b.connected(1, 2)); ++i) {
-    a.poll_once(1);
-    b.poll_once(1);
-  }
-  ASSERT_TRUE(a.connected(1, 2));
-  ASSERT_TRUE(b.connected(1, 2));
-  EXPECT_EQ(a.neighbors_of(1), std::vector<NodeId>{2});
-  EXPECT_EQ(b.neighbors_of(2), std::vector<NodeId>{1});
+TEST(FrameConnTest, ZeroLengthFrameReportsPeerDead) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameConn reader(fds[0]);
 
-  // Abrupt local drop: the peer learns on its next read.
-  a.drop_peer(2);
-  EXPECT_FALSE(a.connected(1, 2));
-  for (int i = 0; i < 2000 && b.connected(1, 2); ++i) b.poll_once(1);
-  EXPECT_FALSE(b.connected(1, 2));
+  // A complete frame, then a length prefix of 0 (no type byte — nothing a
+  // FrameConn ever sends), then another complete frame.
+  const std::vector<std::uint8_t> wire = {0, 0, 0, 2, kFrameHello, 0xAA,
+                                          0, 0, 0, 0,
+                                          0, 0, 0, 2, kFrameHello, 0xBB};
+  ASSERT_EQ(::send(fds[1], wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+
+  std::vector<std::uint8_t> delivered;
+  const auto on_frame = [&](std::uint8_t type,
+                            std::span<const std::uint8_t> data) {
+    EXPECT_EQ(type, kFrameHello);
+    ASSERT_EQ(data.size(), 1u);
+    delivered.push_back(data[0]);
+  };
+  EXPECT_FALSE(reader.read_frames(on_frame))
+      << "a zero-length frame must report the peer dead, not throw";
+  EXPECT_EQ(delivered, std::vector<std::uint8_t>{0xAA})
+      << "frames before the bad one are delivered, none after it";
+  EXPECT_FALSE(reader.open());
+  EXPECT_FALSE(reader.read_frames(on_frame)) << "the connection stays dead";
+  EXPECT_EQ(delivered.size(), 1u);
+  ::close(fds[1]);
 }
 
 }  // namespace

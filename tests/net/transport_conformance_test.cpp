@@ -1,25 +1,21 @@
-// Backend conformance: every behavioral guarantee transport.h documents,
-// held against BOTH backends — the deterministic simulator adapter and the
-// real-TCP loopback SocketTransport. Each test runs once per backend
-// through a small pair-world harness (two nodes, one link) so protocol
-// code's assumptions (per-pair FIFO, framing fidelity incl. >64 KiB
-// chunked payloads, no-link errors, interceptor drop/delay semantics,
-// stats counting rules, trace recording) are checked where they are
-// actually enforced.
+// Backend conformance: the behavioral guarantees transport.h documents,
+// held against the deterministic simulator backend through a small
+// pair-world harness (two nodes, one link): per-pair FIFO, payload
+// fidelity incl. >64 KiB chunked payloads, no-link errors, interceptor
+// drop/delay semantics, stats counting rules, and trace recording. The
+// replay and lockstep backends are held to the simulator's fingerprint by
+// the trace-replay and multiprocess parity gates instead.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "net/message_trace.h"
 #include "net/simulator.h"
-#include "net/socket_transport.h"
 
 namespace pvr::net {
 namespace {
@@ -35,23 +31,11 @@ struct Recorder final : Node {
   }
 };
 
-// One two-node world, backend-agnostic. at(id) is the Transport the node's
-// sends are issued on (the same instance for the simulator, one per
-// process-side for sockets).
+// One two-node world. at(id) is the Transport the node's sends are issued
+// on.
 class PairWorld {
  public:
-  virtual ~PairWorld() = default;
-  virtual Transport& at(NodeId id) = 0;
-  virtual Recorder& recorder(NodeId id) = 0;
-  // Pumps the backend until `done` returns true or the backend gives up.
-  virtual bool pump_until(const std::function<bool()>& done) = 0;
-  // Severs the A—B link/connection on both sides.
-  virtual void disconnect_pair() = 0;
-};
-
-class SimPairWorld final : public PairWorld {
- public:
-  SimPairWorld() : sim_(7) {
+  PairWorld() : sim_(7) {
     auto a = std::make_unique<Recorder>();
     auto b = std::make_unique<Recorder>();
     a_ = a.get();
@@ -60,16 +44,19 @@ class SimPairWorld final : public PairWorld {
     sim_.add_node(kB, std::move(b));
     sim_.connect(kA, kB, LinkConfig{.latency = 100});
   }
-  Transport& at(NodeId id) override {
+  Transport& at(NodeId id) {
     (void)id;
     return sim_.transport();
   }
-  Recorder& recorder(NodeId id) override { return id == kA ? *a_ : *b_; }
-  bool pump_until(const std::function<bool()>& done) override {
+  Recorder& recorder(NodeId id) { return id == kA ? *a_ : *b_; }
+  // Runs the backend to quiescence, then reports whether `done` holds.
+  bool pump_until(const std::function<bool()>& done) {
     sim_.run();
     return done();
   }
-  void disconnect_pair() override { sim_.disconnect(kA, kB); }
+  // Severs the A—B link.
+  void disconnect_pair() { sim_.disconnect(kA, kB); }
+  void set_trace(MessageTrace* trace) { sim_.set_trace(trace); }
 
  private:
   Simulator sim_;
@@ -77,51 +64,10 @@ class SimPairWorld final : public PairWorld {
   Recorder* b_ = nullptr;
 };
 
-class SocketPairWorld final : public PairWorld {
- public:
-  SocketPairWorld() {
-    ta_.add_node(kA, &ra_);
-    tb_.add_node(kB, &rb_);
-    const std::uint16_t port = tb_.listen(0);
-    ta_.connect_to(port);
-    if (!pump_until([this] {
-          return ta_.connected(kA, kB) && tb_.connected(kA, kB);
-        })) {
-      throw std::runtime_error("socket pair world: handshake timed out");
-    }
-  }
-  Transport& at(NodeId id) override {
-    return id == kA ? static_cast<Transport&>(ta_)
-                    : static_cast<Transport&>(tb_);
-  }
-  Recorder& recorder(NodeId id) override { return id == kA ? ra_ : rb_; }
-  bool pump_until(const std::function<bool()>& done) override {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (done()) return true;
-      ta_.poll_once(1);
-      tb_.poll_once(1);
-    }
-    return done();
-  }
-  void disconnect_pair() override {
-    ta_.drop_peer(kB);
-    // The peer observes the close on its next read.
-    (void)pump_until([this] { return !tb_.connected(kA, kB); });
-  }
-
- private:
-  SocketTransport ta_;
-  SocketTransport tb_;
-  Recorder ra_;
-  Recorder rb_;
-};
-
 [[nodiscard]] std::unique_ptr<PairWorld> make_world(
     const std::string& backend) {
-  if (backend == "sim") return std::make_unique<SimPairWorld>();
-  return std::make_unique<SocketPairWorld>();
+  if (backend != "sim") throw std::invalid_argument("unknown backend");
+  return std::make_unique<PairWorld>();
 }
 
 [[nodiscard]] std::vector<std::uint8_t> patterned_payload(std::size_t size,
@@ -248,7 +194,7 @@ TEST_P(TransportConformanceTest, DisconnectSeversLinkAndFailsFurtherSends) {
 TEST_P(TransportConformanceTest, TraceRecordsDeliveriesInOrder) {
   const auto world = make_world(GetParam());
   MessageTrace trace;
-  world->at(kB).set_trace(&trace);
+  world->set_trace(&trace);
   for (std::uint8_t i = 0; i < 3; ++i) {
     world->at(kA).send(Message{.from = kA,
                                .to = kB,
@@ -257,7 +203,7 @@ TEST_P(TransportConformanceTest, TraceRecordsDeliveriesInOrder) {
   }
   ASSERT_TRUE(world->pump_until(
       [&] { return world->recorder(kB).received.size() == 3; }));
-  world->at(kB).set_trace(nullptr);
+  world->set_trace(nullptr);
 
   ASSERT_EQ(trace.entries.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -272,7 +218,7 @@ TEST_P(TransportConformanceTest, TraceRecordsDeliveriesInOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformanceTest,
-                         ::testing::Values("sim", "socket"),
+                         ::testing::Values("sim"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
