@@ -16,7 +16,8 @@
 //      (prover, prefix): the FIFO queue must not serialize them, so
 //      speedup_8v1_intra tracks speedup_8v1 on multi-core hosts;
 //   2. verify context — per-message verify_message through the shared
-//      VerifyContext vs. stateless crypto::rsa_verify on the same reveals.
+//      VerifyContext vs. stateless crypto::rsa_verify on the same reveals,
+//      interleaved with re-signing a sample of them (signs_per_sec).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -268,12 +269,31 @@ int main(int argc, char** argv) {
       reveals.empty() ? 0 : (2000 + reveals.size() - 1) / reveals.size();
   constexpr std::size_t kPasses = 3;
 
+  // The signing leg rides in the same passes: re-sign a sample of the
+  // reveals with the prover's key through rsa_sign's per-key CRT
+  // precompute. PKCS#1 v1.5 is deterministic, so every re-signature must
+  // equal the original byte for byte.
+  const std::size_t sign_sample = std::min<std::size_t>(reveals.size(), 1000);
+  double signs_per_sec = 0;
+  bool signatures_agree = true;
+
   double stateless_vps = 0;
   double shared_vps = 0;
   std::size_t valid_stateless = 0;
   std::size_t valid_single = 0;
   const double per_pass = static_cast<double>(reveals.size()) * reps;
   for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    const double t_sign = now_seconds();
+    for (std::size_t i = 0; i < sign_sample; ++i) {
+      const core::SignedMessage& message = reveals[i];
+      const core::SignedMessage again = core::sign_message(
+          message.signer, w.keys.private_keys.at(message.signer).priv,
+          message.payload);
+      if (again.signature != message.signature) signatures_agree = false;
+    }
+    signs_per_sec = std::max(signs_per_sec, static_cast<double>(sign_sample) /
+                                                (now_seconds() - t_sign));
+
     const double t_stateless = now_seconds();
     for (std::size_t rep = 0; rep < reps; ++rep) {
       for (const core::SignedMessage& message : reveals) {
@@ -302,9 +322,13 @@ int main(int argc, char** argv) {
   const double context_speedup = shared_vps / stateless_vps;
   const bool verdicts_agree = valid_stateless == valid_single;
   std::printf("verify context: %zu reveals x%zu x%zu passes  stateless %.0f/s  "
-              "shared-ctx %.0f/s  context_speedup %.2f  (results %s)\n\n",
+              "shared-ctx %.0f/s  context_speedup %.2f  (results %s)\n",
               reveals.size(), reps, kPasses, stateless_vps, shared_vps,
               context_speedup, verdicts_agree ? "identical" : "DIVERGED!");
+  std::printf("signing: %zu reveals x%zu passes  %.0f/s  sha256 %s  "
+              "(signatures %s)\n\n",
+              sign_sample, kPasses, signs_per_sec, crypto::sha256_backend(),
+              signatures_agree ? "identical" : "DIVERGED!");
 
   // Crypto profile row (ROADMAP item 3: profile before accelerating).
   // verifies_per_sec is wall-clock measured over the shared-context loop
@@ -314,10 +338,12 @@ int main(int argc, char** argv) {
   std::printf("{\"bench\":\"crypto_profile\",\"seed\":%llu,"
               "\"verifies_per_sec\":%.1f,"
               "\"stateless_verifies_per_sec\":%.1f,\"context_speedup\":%.2f,"
+              "\"signs_per_sec\":%.1f,\"sha256_backend\":\"%s\","
               "\"rsa_verify_p50_us\":%llu,\"rsa_verify_p99_us\":%llu,"
               "\"mulmod_p99_us\":%llu,\"hw_threads\":%u}\n",
               static_cast<unsigned long long>(args.seed),
-              shared_vps, stateless_vps, context_speedup,
+              shared_vps, stateless_vps, context_speedup, signs_per_sec,
+              crypto::sha256_backend(),
               static_cast<unsigned long long>(
                   hot.crypto_rsa_verify_us.quantile(0.5)),
               static_cast<unsigned long long>(
@@ -339,5 +365,5 @@ int main(int argc, char** argv) {
               deterministic ? "true" : "false",
               std::thread::hardware_concurrency());
   pvr::bench::emit_obs_snapshot("engine_throughput");
-  return deterministic && verdicts_agree ? 0 : 1;
+  return deterministic && verdicts_agree && signatures_agree ? 0 : 1;
 }

@@ -60,7 +60,11 @@ Rules (exit 1 on any violation):
      fresh value must clear a STEP gate of --min-vps-step x baseline
      (default 2.0 — the refactor's promised speedup, not a mere
      no-regression bound); once the baseline carries either field the
-     ordinary (1 - --max-regression) floor applies;
+     ordinary (1 - --max-regression) floor applies. The same row must
+     also carry signs_per_sec (rsa_sign through the per-key CRT
+     precompute, best-of-passes), and whenever the baseline's
+     crypto_profile carries signs_per_sec too, the fresh value must not
+     drop more than --max-regression below it;
   10. whenever the fresh run has a scenarios sweep it must carry the
      multiprocess deployment row ({"bench": "scenarios_mp"}), and that row
      must report fingerprint_parity == true AND
@@ -369,6 +373,21 @@ def main():
                             f"verifies_per_sec regressed "
                             f">{args.max_regression:.0%}: "
                             f"{base_vps:.1f} -> {new_vps:.1f}")
+            new_sps = fresh_profile.get("signs_per_sec")
+            base_sps = (baseline_profile or {}).get("signs_per_sec")
+            if new_sps is None:
+                failures.append(
+                    "crypto_profile carries no signs_per_sec field — the "
+                    "signing leg of the crypto profile fell out of the bench")
+            elif base_sps:
+                floor = base_sps * (1.0 - args.max_regression)
+                verdict = "ok" if new_sps >= floor else "REGRESSION"
+                print(f"signs_per_sec: baseline {base_sps:.1f} -> fresh "
+                      f"{new_sps:.1f} (floor {floor:.1f}) {verdict}")
+                if new_sps < floor:
+                    failures.append(
+                        f"signs_per_sec regressed >{args.max_regression:.0%}: "
+                        f"{base_sps:.1f} -> {new_sps:.1f}")
 
     # 10. Multiprocess deployment parity: the scenarios_mp row must be
     # present alongside any scenarios sweep, and both parities must hold.

@@ -13,6 +13,13 @@ namespace {
 constexpr std::string_view kAggregatedBundleTag = "pvr-aggregated-bundle";
 constexpr std::string_view kAggregatedMessageTag = "pvr.bundle.agg";
 
+// Smallest encodings, for bounding counts read from the input: a prefix is
+// a u32 address and a u8 length; an opening is a length-prefixed
+// SignedMessage and a MerkleProof (two u64s, an empty sibling list).
+constexpr std::size_t kMinPrefixBytes = 4 + 1;
+constexpr std::size_t kMinOpeningBytes =
+    4 + SignedMessage::kMinEncodedBytes + 8 + 8 + 4;
+
 }  // namespace
 
 bool AggregatedBundle::covers(const bgp::Ipv4Prefix& prefix) const {
@@ -40,7 +47,7 @@ AggregatedBundle AggregatedBundle::decode(std::span<const std::uint8_t> data) {
   bundle.prover = reader.get_u32();
   bundle.epoch = reader.get_u64();
   bundle.batch = reader.get_u32();
-  const std::uint32_t count = reader.get_u32();
+  const std::uint32_t count = reader.get_count(kMinPrefixBytes);
   bundle.prefixes.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     bundle.prefixes.push_back(bgp::Ipv4Prefix::decode(reader));
@@ -79,7 +86,7 @@ AggregatedBundleMessage AggregatedBundleMessage::decode(
   }
   AggregatedBundleMessage message;
   message.signed_root = SignedMessage::decode(reader.get_bytes());
-  const std::uint32_t count = reader.get_u32();
+  const std::uint32_t count = reader.get_count(kMinOpeningBytes);
   message.openings.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     message.openings.push_back(SignedBundleOpening::decode(reader));

@@ -51,7 +51,9 @@ Evidence Evidence::decode(std::span<const std::uint8_t> data) {
   evidence.accused = reader.get_u32();
   evidence.reporter = reader.get_u32();
   evidence.index = reader.get_u32();
-  const std::uint32_t count = reader.get_u32();
+  // Each message is a length-prefixed SignedMessage encoding.
+  const std::uint32_t count =
+      reader.get_count(4 + SignedMessage::kMinEncodedBytes);
   evidence.messages.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     evidence.messages.push_back(SignedMessage::decode(reader.get_bytes()));

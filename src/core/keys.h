@@ -58,6 +58,10 @@ class KeyDirectory {
 };
 
 struct SignedMessage {
+  // The shortest encoding: a u32 signer and two empty length-prefixed
+  // fields. Decoders bound counts of encoded messages with it.
+  static constexpr std::size_t kMinEncodedBytes = 4 + 4 + 4;
+
   bgp::AsNumber signer = 0;
   std::vector<std::uint8_t> payload;
   std::vector<std::uint8_t> signature;

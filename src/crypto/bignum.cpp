@@ -287,7 +287,8 @@ Bignum::DivMod Bignum::divmod(const Bignum& divisor) const {
 
 Bignum Bignum::mulmod(const Bignum& rhs, const Bignum& m) const {
   // Counting covers the schoolbook ladder (powmod_reference) and the
-  // remaining direct callers (Miller–Rabin, CRT signing). Two
+  // one remaining direct caller, Miller–Rabin's squarings (CRT signing
+  // recombines in Montgomery form and never calls this). Two
   // wall_clock_us() reads per ~1 µs multiply is measurable overhead, so
   // the timing pair samples 1 in 64 calls; the count stays exact. Both
   // fold away under -DPVR_OBS=OFF (wall_clock_us is constexpr-0).

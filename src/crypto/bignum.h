@@ -89,10 +89,11 @@ class Bignum {
 
   // Direct limb access for tests and hashing (little-endian).
   [[nodiscard]] std::span<const std::uint64_t> limbs() const noexcept { return limbs_; }
+  // The value of little-endian limbs; trailing zero limbs are trimmed.
+  [[nodiscard]] static Bignum from_limbs(std::vector<std::uint64_t> limbs);
 
  private:
   void trim() noexcept;
-  static Bignum from_limbs(std::vector<std::uint64_t> limbs);
 
   std::vector<std::uint64_t> limbs_;  // little-endian; no trailing zero limbs
 };

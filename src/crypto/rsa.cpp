@@ -1,5 +1,6 @@
 #include "crypto/rsa.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -41,6 +42,14 @@ constexpr std::array<std::uint8_t, 19> kSha256DigestInfo = {
   return em;
 }
 
+// n mod p for a one-limb p, straight from n's limbs (Horner in base 2^64).
+[[nodiscard]] std::uint64_t mod_limb(std::span<const std::uint64_t> limbs,
+                                     std::uint64_t p) {
+  unsigned __int128 r = 0;
+  for (std::size_t i = limbs.size(); i-- > 0;) r = ((r << 64) | limbs[i]) % p;
+  return static_cast<std::uint64_t>(r);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> RsaPublicKey::encode() const {
@@ -60,11 +69,12 @@ RsaPublicKey RsaPublicKey::decode(std::span<const std::uint8_t> data) {
 }
 
 bool is_probable_prime(const Bignum& n, Drbg& rng, int rounds) {
-  if (n < Bignum(2)) return false;
+  const std::span<const std::uint64_t> limbs = n.limbs();
+  if (limbs.empty() || (limbs.size() == 1 && limbs[0] < 2)) return false;
+  // Trial division without a Bignum: each remainder comes from the limbs.
   for (const std::uint64_t p : kSmallPrimes) {
-    const Bignum bp(p);
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+    if (limbs.size() == 1 && limbs[0] == p) return true;
+    if (mod_limb(limbs, p) == 0) return false;
   }
 
   // Write n-1 = d * 2^r with d odd.
@@ -130,7 +140,9 @@ RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, Drbg& rng) {
         .d_p = d % p1,
         .d_q = d % q1,
         .q_inv = q.invmod(p),
+        .crt = nullptr,
     };
+    priv.crt = std::make_shared<const RsaCrtContext>(priv);
     return {.pub = priv.public_key(), .priv = std::move(priv)};
   }
 }
@@ -139,15 +151,34 @@ Bignum rsa_public_apply(const RsaPublicKey& key, const Bignum& x) {
   return x.powmod(key.e, key.n);
 }
 
+RsaCrtContext::RsaCrtContext(const RsaPrivateKey& key)
+    : p_(key.p), q_(key.q), d_p_(key.d_p), d_q_(key.d_q),
+      q_inv_(p_.width(), 0) {
+  const Bignum q_inv = key.q_inv % key.p;
+  std::copy(q_inv.limbs().begin(), q_inv.limbs().end(), q_inv_.begin());
+}
+
+Bignum RsaCrtContext::apply(const Bignum& y) const {
+  using Limbs = std::array<std::uint64_t, kMaxMontgomeryLimbs>;
+  Limbs m1{};
+  Limbs m2{};
+  Limbs h{};
+  p_.to_mont(y.limbs(), m1.data());
+  p_.mont_pow(m1.data(), d_p_, m1.data());  // m1 = y^dP mod p (Montgomery)
+  q_.to_mont(y.limbs(), m2.data());
+  q_.mont_pow(m2.data(), d_q_, m2.data());
+  q_.from_mont(m2.data(), m2.data());       // m2 = y^dQ mod q
+  p_.to_mont(std::span(m2.data(), q_.width()), h.data());
+  p_.sub_mod(m1.data(), h.data(), h.data());       // (m1 - m2) mod p
+  p_.mont_mul(h.data(), q_inv_.data(), h.data());  // h, out of Montgomery form
+  const auto value = [](const Limbs& limbs, std::size_t width) {
+    return Bignum::from_limbs({limbs.begin(), limbs.begin() + width});
+  };
+  return value(m2, q_.width()) + value(h, p_.width()) * q_.modulus();
+}
+
 Bignum rsa_private_apply(const RsaPrivateKey& key, const Bignum& y) {
-  // CRT: m1 = y^dP mod p, m2 = y^dQ mod q, h = qInv(m1-m2) mod p.
-  const Bignum m1 = (y % key.p).powmod(key.d_p, key.p);
-  const Bignum m2 = (y % key.q).powmod(key.d_q, key.q);
-  // (m1 - m2) mod p without negative numbers: add p*? — m2 < q, reduce first.
-  const Bignum m2_mod_p = m2 % key.p;
-  const Bignum diff = m1 >= m2_mod_p ? m1 - m2_mod_p : (m1 + key.p) - m2_mod_p;
-  const Bignum h = key.q_inv.mulmod(diff, key.p);
-  return m2 + h * key.q;
+  return key.crt ? key.crt->apply(y) : RsaCrtContext(key).apply(y);
 }
 
 std::vector<std::uint8_t> rsa_sign(const RsaPrivateKey& key,

@@ -3,10 +3,15 @@
 // The paper's overhead analysis (§3.8) is phrased in terms of RSA-1024
 // signatures (~2 ms on 2011 hardware); route announcements, commitments,
 // and evidence objects in this repo are all signed with this module.
-// Signing uses the CRT; verification uses the public exponent directly.
+// Signing uses the CRT over a per-key precompute (RsaCrtContext: Montgomery
+// contexts for p and q, built once at key generation); verification uses
+// the public exponent directly, over a per-key context as well
+// (RsaVerifyKey). PKCS#1 v1.5 is deterministic, so neither precompute can
+// change a signature or a verdict — only the time they take.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -32,6 +37,8 @@ struct RsaPublicKey {
   [[nodiscard]] static RsaPublicKey decode(std::span<const std::uint8_t> data);
 };
 
+class RsaCrtContext;
+
 struct RsaPrivateKey {
   Bignum n;
   Bignum e;
@@ -42,8 +49,34 @@ struct RsaPrivateKey {
   Bignum d_p;    // d mod (p-1)
   Bignum d_q;    // d mod (q-1)
   Bignum q_inv;  // q^{-1} mod p
+  // The signing precompute over p, q, d_p, d_q and q_inv, built by
+  // generate_rsa_keypair and shared by every copy of the key. A key
+  // assembled field by field leaves it empty; signing then builds one per
+  // call, with the same result.
+  std::shared_ptr<const RsaCrtContext> crt;
 
   [[nodiscard]] RsaPublicKey public_key() const { return {.n = n, .e = e}; }
+};
+
+// The signing counterpart of RsaVerifyKey: Montgomery contexts for p and q
+// and q^{-1} mod p, built once per key rather than once per signature.
+// Immutable after construction, so one instance serves every thread.
+class RsaCrtContext {
+ public:
+  // Throws std::invalid_argument unless p and q are odd and > 1.
+  explicit RsaCrtContext(const RsaPrivateKey& key);
+
+  // y^d mod n: one fixed-width Montgomery exponentiation per prime, then
+  // Garner's recombination m2 + q * (q^{-1} * (m1 - m2) mod p), reduced in
+  // p's Montgomery form. Equals the textbook CRT result for every y.
+  [[nodiscard]] Bignum apply(const Bignum& y) const;
+
+ private:
+  MontgomeryCtx p_;
+  MontgomeryCtx q_;
+  Bignum d_p_;
+  Bignum d_q_;
+  std::vector<std::uint64_t> q_inv_;  // q^{-1} mod p, p_.width() limbs
 };
 
 struct RsaKeyPair {
@@ -61,8 +94,9 @@ struct RsaKeyPair {
 // Generates an RSA key pair with a modulus of `modulus_bits` bits, e = 65537.
 [[nodiscard]] RsaKeyPair generate_rsa_keypair(std::size_t modulus_bits, Drbg& rng);
 
-// PKCS#1 v1.5 signature over SHA-256(message). The result has exactly
-// modulus_bytes() bytes.
+// PKCS#1 v1.5 signature over SHA-256(message), through the key's CRT
+// precompute (RsaPrivateKey::crt). The result has exactly modulus_bytes()
+// bytes.
 [[nodiscard]] std::vector<std::uint8_t> rsa_sign(
     const RsaPrivateKey& key, std::span<const std::uint8_t> message);
 
@@ -81,6 +115,7 @@ struct RsaKeyPair {
                               std::span<const std::uint8_t> signature);
 
 // Raw RSA trapdoor permutation (used by the ring-signature scheme).
+// rsa_private_apply is the signing exponentiation: the key's RsaCrtContext.
 [[nodiscard]] Bignum rsa_public_apply(const RsaPublicKey& key, const Bignum& x);
 [[nodiscard]] Bignum rsa_private_apply(const RsaPrivateKey& key, const Bignum& y);
 

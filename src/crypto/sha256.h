@@ -2,6 +2,12 @@
 //
 // PVR's commitment and Merkle-tree layers (paper §3.2, §3.6) are built on a
 // cryptographic hash; the paper names SHA-256 explicitly in §3.8.
+//
+// The block transform is chosen once per process by CPUID alone: the Intel
+// SHA extensions (SHA-NI) when the CPU reports them, else the portable
+// scalar transform. The scalar transform stays as the differential oracle
+// (sha256_scalar below; tests/crypto/sha256_test.cpp compares the two), so
+// a digest never depends on which one ran.
 #pragma once
 
 #include <array>
@@ -26,14 +32,22 @@ class Sha256 {
   void update(std::span<const std::uint8_t> data) noexcept;
   void update(std::string_view data) noexcept;
 
+  // Pads with a single update() of 0x80, zeros and the bit length, so the
+  // pad bytes count into crypto.bytes_hashed like any other input.
   [[nodiscard]] Digest finalize() noexcept;
 
  private:
   friend Digest sha256_uncounted(std::span<const std::uint8_t> data) noexcept;
+  friend Digest sha256_scalar(std::span<const std::uint8_t> data) noexcept;
 
+  // Runs `blocks` consecutive 64-byte blocks through the process's
+  // transform (SHA-NI or scalar).
+  void compress(const std::uint8_t* data, std::size_t blocks) noexcept;
+  // The scalar FIPS 180-4 transform of one block.
   void process_block(const std::uint8_t* block) noexcept;
 
-  bool counted_ = true;  // false = exempt from crypto.bytes_hashed
+  bool counted_ = true;       // false = exempt from crypto.bytes_hashed
+  bool scalar_only_ = false;  // true = never take the SHA-NI transform
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
@@ -50,6 +64,13 @@ class Sha256 {
 // it keeps the kSim metrics fingerprint byte-identical whether the cache
 // is on or off.
 [[nodiscard]] Digest sha256_uncounted(std::span<const std::uint8_t> data) noexcept;
+
+// One-shot digest through the scalar transform whatever the CPU: the
+// oracle the SHA-NI transform is tested against.
+[[nodiscard]] Digest sha256_scalar(std::span<const std::uint8_t> data) noexcept;
+
+// The block transform this process uses: "shani" or "scalar".
+[[nodiscard]] const char* sha256_backend() noexcept;
 
 // Lowercase hex of a digest (for logs and test vectors).
 [[nodiscard]] std::string digest_hex(const Digest& digest);

@@ -125,5 +125,95 @@ TEST(MontgomeryTest, BignumPowmodDispatchMatchesReference) {
   }
 }
 
+// A random odd modulus of exactly `limbs` limbs whose top limb is `top`
+// (0 = random, nonzero).
+Bignum modulus_with_top(Drbg& rng, std::size_t limbs, std::uint64_t top) {
+  Bignum m = rng.random_bits(64 * (limbs - 1));
+  if (top == 0) {
+    while (top == 0) top = rng.uniform(~std::uint64_t{0});
+  }
+  m = (Bignum(top) << (64 * (limbs - 1))) + m;
+  if (!m.is_odd()) m = m + Bignum(1);
+  return m;
+}
+
+// Every compile-time-width CIOS instance (4, 8, 16 limbs) and two widths
+// that run the runtime-width loop (6, 12), against the schoolbook
+// reference: random moduli, moduli whose top limb is 2^63 + 1 or all-ones,
+// the all-ones modulus, operands below and above m, and exponents on both
+// sides of the binary-ladder / fixed-window cutoff.
+TEST(MontgomeryTest, FixedWidthKernelsMatchReference) {
+  Drbg rng(7104, "montgomery-fixed-width-fuzz");
+  for (const std::size_t limbs : {4u, 8u, 16u, 6u, 12u}) {
+    std::vector<Bignum> moduli;
+    for (int i = 0; i < 4; ++i) moduli.push_back(modulus_with_top(rng, limbs, 0));
+    moduli.push_back(modulus_with_top(rng, limbs, (std::uint64_t{1} << 63) + 1));
+    moduli.push_back(modulus_with_top(rng, limbs, ~std::uint64_t{0}));
+    moduli.push_back((Bignum(1) << (64 * limbs)) - Bignum(1));
+    for (const Bignum& m : moduli) {
+      const MontgomeryCtx ctx(m);
+      ASSERT_EQ(ctx.width(), limbs);
+      const std::vector<Bignum> operands = {
+          Bignum(0),
+          Bignum(1),
+          m - Bignum(1),
+          m,                                         // == m
+          m + rng.random_below(m),                   // in [m, 2m)
+          rng.random_bits(64 * limbs),               // full width, may be >= m
+          rng.random_bits(64 * (2 * limbs + 1)),     // wider than m
+          rng.random_below(m),
+          rng.random_below(m),
+      };
+      for (const Bignum& a : operands) {
+        const Bignum b = rng.random_below(m + m);
+        ASSERT_EQ(ctx.mulmod(a, b), a.mulmod(b, m))
+            << limbs << " limbs, m=" << m.to_hex() << " a=" << a.to_hex();
+        for (const std::size_t ebits : {0u, 17u, 32u, 33u, 200u}) {
+          const Bignum e = rng.random_bits(ebits);
+          ASSERT_EQ(ctx.powmod(a, e), a.powmod_reference(e, m))
+              << limbs << " limbs, m=" << m.to_hex() << " a=" << a.to_hex()
+              << " e=" << e.to_hex();
+        }
+      }
+    }
+  }
+}
+
+// The fixed-width steps the CRT signer chains together, checked one by one
+// against Bignum arithmetic: conversion in (from inputs of any length) and
+// out, the Montgomery product, and modular subtraction.
+TEST(MontgomeryTest, FixedWidthStepsMatchBignum) {
+  Drbg rng(7105, "montgomery-steps-fuzz");
+  for (const std::size_t limbs : {1u, 4u, 6u, 8u, 16u}) {
+    for (int round = 0; round < 8; ++round) {
+      const Bignum m = modulus_with_top(rng, limbs, 0);
+      const MontgomeryCtx ctx(m);
+      const Bignum r = Bignum(1) << (64 * limbs);
+      const auto limbs_of = [&](const std::vector<std::uint64_t>& v) {
+        return Bignum::from_limbs(v);
+      };
+      const Bignum x = rng.random_bits(64 * (limbs * 2 + 1) - 3);
+      const Bignum a = rng.random_below(m);
+      const Bignum b = rng.random_below(m);
+      std::vector<std::uint64_t> xm(limbs);
+      std::vector<std::uint64_t> am(limbs);
+      std::vector<std::uint64_t> bm(limbs);
+      std::vector<std::uint64_t> out(limbs);
+      ctx.to_mont(x.limbs(), xm.data());
+      EXPECT_EQ(limbs_of(xm), (x * r) % m);
+      ctx.to_mont(a.limbs(), am.data());
+      ctx.to_mont(b.limbs(), bm.data());
+      ctx.from_mont(am.data(), out.data());
+      EXPECT_EQ(limbs_of(out), a);
+      ctx.mont_mul(am.data(), bm.data(), out.data());
+      EXPECT_EQ(limbs_of(out), (a * b * r) % m);
+      ctx.sub_mod(am.data(), bm.data(), out.data());
+      EXPECT_EQ(limbs_of(out), ((a + m - b) * r) % m);
+      ctx.sub_mod(am.data(), am.data(), out.data());
+      EXPECT_TRUE(limbs_of(out).is_zero());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pvr::crypto

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string_view>
 #include <vector>
+
+#include "crypto/sha256.h"
 
 namespace pvr::crypto {
 namespace {
@@ -46,6 +49,55 @@ TEST(RsaPrimality, KnownCompositesRejected) {
   EXPECT_FALSE(is_probable_prime(Bignum(561), rng));
   // Large semiprime: 1000003 * 1000033.
   EXPECT_FALSE(is_probable_prime(Bignum(1000003ULL) * Bignum(1000033ULL), rng));
+}
+
+// Trial division takes each small-prime remainder from the limbs directly:
+// a multi-limb multiple of any table prime is rejected without reaching
+// Miller–Rabin, and every table prime itself is accepted.
+TEST(RsaPrimality, TrialDivisionOverLimbs) {
+  Drbg rng(8, "primality-trial");
+  const Bignum mersenne127 = (Bignum(1) << 127) - Bignum(1);
+  for (const std::uint64_t p : {2u, 3u, 5u, 7u, 97u, 211u, 251u}) {
+    EXPECT_TRUE(is_probable_prime(Bignum(p), rng)) << p;
+    EXPECT_FALSE(is_probable_prime(mersenne127 * Bignum(p), rng)) << p;
+  }
+  EXPECT_TRUE(is_probable_prime(mersenne127, rng));
+  EXPECT_FALSE(is_probable_prime(Bignum(257) * Bignum(263), rng));
+}
+
+// Keys, and the signatures they make, must not change with the arithmetic
+// underneath: the same candidates are rejected and the DRBG draws are the
+// same. These moduli and signature digests were produced by the Bignum
+// divmod trial division and the per-signature CRT contexts.
+TEST(RsaKeygen, KeysAndSignaturesArePinned) {
+  struct Pinned {
+    std::uint64_t seed;
+    const char* modulus_hex;
+    const char* signature_sha256;
+  };
+  const Pinned pinned[] = {
+      {1,
+       "a0c7989b982c46f1dd5952384c1e4dd13d1de22c5a6159580332739fdbc6d4d3"
+       "4b54d9174bdd3e09eea3ca56f185141471d5be708e482b23970f8d1b45cfcb67",
+       "b429301250a51a6562f360c1ddcdeeabdfec8aed83de3191ac1e8272e6d35bfa"},
+      {2,
+       "ca7f62fb29f8ac22c4a6cc71f8a7defad4948c4d58e41d96d1b5b6df34ebdc0b"
+       "e518703e961dce26d920030ddf6e5b3614fa650af86ca0bc067049a1989e37c3",
+       "44e137b5c0b48b174f67e3582524dbf89a59a84809a9230f9215f674e18a1788"},
+      {3,
+       "c6601fe186d75959bbd6106e6f7332acf4683d3f43956f6fdf27e44c8b6f6600"
+       "4e421ddc93919fb0541eb32f13d0df6d80d8ad91c21720c5c966c57ae0be03c9",
+       "6e6152fa77b0b1ae274cd9caa7d41405485f0b8d4a3f22b753d13572dc69c640"},
+  };
+  const std::vector<std::uint8_t> message = {'p', 'v', 'r'};
+  for (const Pinned& pin : pinned) {
+    Drbg rng(pin.seed);
+    const RsaKeyPair kp = generate_rsa_keypair(512, rng);
+    EXPECT_EQ(kp.pub.n.to_hex(), pin.modulus_hex) << "seed " << pin.seed;
+    EXPECT_EQ(digest_hex(sha256(rsa_sign(kp.priv, message))),
+              pin.signature_sha256)
+        << "seed " << pin.seed;
+  }
 }
 
 TEST(RsaPrimality, GeneratedPrimeHasExactWidth) {
@@ -140,6 +192,52 @@ TEST_F(RsaTest, CrossKeyVerificationFails) {
   const std::vector<std::uint8_t> message = {'y'};
   const auto signature = rsa_sign(key().priv, message);
   EXPECT_FALSE(rsa_verify(other.pub, message, signature));
+}
+
+// EMSA-PKCS1-v1_5 over SHA-256 (RFC 8017 §9.2), written out here
+// independently of rsa.cpp, as an integer.
+Bignum emsa_reference(std::span<const std::uint8_t> message, std::size_t k) {
+  constexpr std::array<std::uint8_t, 19> kDigestInfo = {
+      0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01,
+      0x65, 0x03, 0x04, 0x02, 0x01, 0x05, 0x00, 0x04, 0x20};
+  const Digest digest = sha256(message);
+  std::vector<std::uint8_t> em(k, 0xff);
+  em[0] = 0x00;
+  em[1] = 0x01;
+  em[k - kDigestInfo.size() - digest.size() - 1] = 0x00;
+  std::copy(digest.begin(), digest.end(), em.end() - 32);
+  std::copy(kDigestInfo.begin(), kDigestInfo.end(), em.end() - 32 - 19);
+  return Bignum::from_bytes_be(em);
+}
+
+// Signatures from the per-key CRT precompute equal the textbook m^d mod n
+// computed by the schoolbook ladder, and still verify. A copy of the key
+// with no precompute (a key assembled field by field) signs identically,
+// and the raw trapdoor matches y^d mod n for y below and above n.
+TEST(RsaCrtSigning, MatchesTextbookExponentiation) {
+  for (const std::size_t bits : {512u, 1024u, 2048u}) {
+    Drbg rng(bits, "rsa-crt-textbook");
+    const RsaKeyPair kp = generate_rsa_keypair(bits, rng);
+    ASSERT_NE(kp.priv.crt, nullptr);
+    RsaPrivateKey bare = kp.priv;
+    bare.crt = nullptr;
+    const std::size_t k = kp.pub.modulus_bytes();
+    for (std::size_t i = 0; i < 3; ++i) {
+      const std::vector<std::uint8_t> message = rng.bytes(1 + 40 * i);
+      const std::vector<std::uint8_t> signature = rsa_sign(kp.priv, message);
+      const Bignum textbook =
+          emsa_reference(message, k).powmod_reference(kp.priv.d, kp.pub.n);
+      EXPECT_EQ(signature, textbook.to_bytes_be(k)) << bits << " bits";
+      EXPECT_EQ(rsa_sign(bare, message), signature) << bits << " bits";
+      EXPECT_TRUE(rsa_verify(kp.pub, message, signature)) << bits << " bits";
+    }
+    for (const Bignum& y : {rng.random_below(kp.pub.n),
+                            kp.pub.n + rng.random_below(kp.pub.n)}) {
+      EXPECT_EQ(rsa_private_apply(kp.priv, y),
+                y.powmod_reference(kp.priv.d, kp.pub.n))
+          << bits << " bits";
+    }
+  }
 }
 
 // Known-answer vectors computed by an independent RSASSA-PKCS1-v1_5 +

@@ -16,9 +16,12 @@
 
 #include "baseline/sbgp.h"
 #include "bgp/messages.h"
+#include "core/bundle_aggregation.h"
+#include "core/evidence.h"
 #include "core/graph_commitment.h"
 #include "core/min_protocol.h"
 #include "crypto/drbg.h"
+#include "crypto/encoding.h"
 #include "net/frame.h"
 #include "net/gossip.h"
 #include "net/message_trace.h"
@@ -295,6 +298,49 @@ TEST(DecoderAllocationTest, MessageTraceCountsCannotForceAllocation) {
   ASSERT_GE(provers.size(), 8u);
   provers[provers.size() - 5] = 1;  // prover count (last u64) = 2^32
   EXPECT_EQ(decode_under_cap([&] { (void)net::MessageTrace::decode(provers); }),
+            CappedOutcome::kOutOfRange);
+}
+
+TEST(DecoderAllocationTest, AggregatedBundlePrefixCountCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // Tag, prover, epoch, batch, then 2^32 - 1 prefixes and nothing else.
+  crypto::ByteWriter writer;
+  writer.put_string("pvr-aggregated-bundle");
+  writer.put_u32(7);
+  writer.put_u64(3);
+  writer.put_u32(0);
+  writer.put_u32(0xFFFFFFFF);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  EXPECT_EQ(
+      decode_under_cap([&] { (void)core::AggregatedBundle::decode(bytes); }),
+      CappedOutcome::kOutOfRange);
+}
+
+TEST(DecoderAllocationTest, AggregatedMessageOpeningCountCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // Tag, an empty signed root, then 2^32 - 1 openings and nothing else.
+  crypto::ByteWriter writer;
+  writer.put_string("pvr.bundle.agg");
+  writer.put_bytes(core::SignedMessage{}.encode());
+  writer.put_u32(0xFFFFFFFF);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  EXPECT_EQ(decode_under_cap([&] {
+              (void)core::AggregatedBundleMessage::decode(bytes);
+            }),
+            CappedOutcome::kOutOfRange);
+}
+
+TEST(DecoderAllocationTest, EvidenceMessageCountCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // Kind, accused, reporter, index, then 2^32 - 1 messages and no detail.
+  crypto::ByteWriter writer;
+  writer.put_u8(0);
+  writer.put_u32(1);
+  writer.put_u32(2);
+  writer.put_u32(0);
+  writer.put_u32(0xFFFFFFFF);
+  const std::vector<std::uint8_t> bytes = writer.take();
+  EXPECT_EQ(decode_under_cap([&] { (void)core::Evidence::decode(bytes); }),
             CappedOutcome::kOutOfRange);
 }
 
