@@ -531,7 +531,6 @@ void fold_round_findings(RoundFindings& into, RoundFindings part) {
   into.evidence.insert(into.evidence.end(),
                        std::make_move_iterator(part.evidence.begin()),
                        std::make_move_iterator(part.evidence.end()));
-  into.signatures_verified += part.signatures_verified;
   if (part.accepted.has_value()) into.accepted = std::move(part.accepted);
 }
 
@@ -559,7 +558,6 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
 
   if (part.kind == RoundCheckPart::Kind::kBundlePair) {
     // Equivocation check over one pair of gossip-delivered bundles.
-    findings.signatures_verified += 2;
     if (auto conflict = check_equivocation(config.verify_context(), config.asn,
                                            round.observed_bundles[part.i],
                                            round.observed_bundles[part.j])) {
@@ -571,7 +569,6 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
     // Conflicting signed roots for this round's aggregation window are
     // equivocation too (root gossip carries no bundles, so this is how the
     // conflict surfaces).
-    findings.signatures_verified += 2;
     if (auto conflict = check_root_equivocation(config.verify_context(), config.asn,
                                                 round.observed_roots[part.i],
                                                 round.observed_roots[part.j])) {
@@ -596,15 +593,11 @@ RoundFindings PvrNode::run_round_check(const PvrConfig& config,
   }
 
   if (config.role == PvrRole::kProvider) {
-    findings.signatures_verified += round.provider_reveal.has_value() ? 2 : 1;
     auto found = verify_as_provider(
         config.verify_context(), config.asn, round.own_input, *round.bundle,
         round.provider_reveal.has_value() ? &*round.provider_reveal : nullptr);
     findings.evidence.insert(findings.evidence.end(), found.begin(), found.end());
   } else if (config.role == PvrRole::kRecipient) {
-    findings.signatures_verified +=
-        1 + (round.recipient_reveal.has_value() ? 1 : 0) +
-        (round.export_statement.has_value() ? 1 : 0);
     auto found = verify_as_recipient(
         config.verify_context(), config.asn, *round.bundle,
         round.recipient_reveal.has_value() ? &*round.recipient_reveal : nullptr,
@@ -685,7 +678,9 @@ void PvrNode::apply_round_findings(const ProtocolId& id, RoundFindings findings)
   evidence_.insert(evidence_.end(),
                    std::make_move_iterator(findings.evidence.begin()),
                    std::make_move_iterator(findings.evidence.end()));
-  if (findings.accepted.has_value()) accepted_[id] = *findings.accepted;
+  if (findings.accepted.has_value()) {
+    accepted_[id] = std::move(*findings.accepted);
+  }
 }
 
 bool PvrNode::gc_finalized(const ProtocolId& id) {

@@ -100,7 +100,6 @@ inline constexpr std::size_t kFinalizeChunkPairs = 32;
 struct RoundFindings {
   std::vector<Evidence> evidence;
   std::optional<bgp::Route> accepted;  // recipient-side accepted route
-  std::uint64_t signatures_verified = 0;
 };
 
 // A packaged, self-contained verification round split at check
@@ -118,8 +117,8 @@ struct DeferredRoundChecks {
 };
 
 // Deterministic reducer for split round checks: evidence concatenates in
-// fold order, signature counts add, and the role check's accepted route
-// wins (it is the only part that sets one).
+// fold order and the role check's accepted route wins (it is the only part
+// that sets one).
 void fold_round_findings(RoundFindings& into, RoundFindings part);
 
 // Prover-side notification that one collection window just fired: the
@@ -172,9 +171,9 @@ class PvrNode : public net::Node {
   [[nodiscard]] std::optional<DeferredRoundChecks> defer_finalize_checks(
       const ProtocolId& id);
 
-  // Delivers the outcome of a deferred round back into this node's evidence
-  // log and accepted-route table. Must be called from the thread that owns
-  // the node (i.e. after the engine has drained).
+  // Moves the outcome of a deferred round into this node's evidence log and
+  // accepted-route table, which own it from then on. Must be called from
+  // the thread that owns the node (i.e. after the engine has drained).
   void apply_round_findings(const ProtocolId& id, RoundFindings findings);
 
   // Online-mode GC: releases the per-round state of a round the CALLER

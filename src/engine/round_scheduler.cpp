@@ -71,7 +71,6 @@ bool RoundScheduler::run_one(std::unique_lock<std::mutex>& lock) {
 
   results_[ticket] = std::move(outcome);
   completed_ += 1;
-  drain_cv_.notify_all();
   if (async_callback_ && completed_ == tasks_.size()) {
     // This worker just finished the async batch's last task: it extracts
     // the outcomes, resets the batch, and runs the completion callback
@@ -108,16 +107,6 @@ std::vector<RoundOutcome> RoundScheduler::take_outcomes_locked() {
   next_ticket_ = 0;
   completed_ = 0;
   return outcomes;
-}
-
-std::vector<RoundOutcome> RoundScheduler::drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (async_callback_) {
-    throw std::logic_error(
-        "RoundScheduler::drain: a begin_drain batch is still in flight");
-  }
-  drain_cv_.wait(lock, [this] { return completed_ == tasks_.size(); });
-  return take_outcomes_locked();
 }
 
 void RoundScheduler::begin_drain(

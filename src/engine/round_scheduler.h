@@ -11,10 +11,10 @@
 // run concurrently. This is safe because submitted closures are
 // self-contained snapshots: they share no mutable state.
 //
-// Determinism guarantee (DESIGN.md §"Engine"): drain() returns outcomes in
-// submission order, and each round closure only reads its own snapshot, so
-// the drained sequence — and therefore any Evidence log built from it — is
-// byte-identical for every worker count.
+// Determinism guarantee (DESIGN.md §"Engine"): begin_drain() delivers
+// outcomes in submission order, and each round closure only reads its own
+// snapshot, so the drained sequence — and therefore any Evidence log built
+// from it — is byte-identical for every worker count.
 #pragma once
 
 #include <condition_variable>
@@ -55,24 +55,20 @@ class RoundScheduler {
   RoundScheduler& operator=(const RoundScheduler&) = delete;
 
   // Enqueues one round. Returns the submission ticket (index into the
-  // vector drain() returns). Thread-compatible: submit from one thread.
+  // outcome vector begin_drain() delivers). Thread-compatible: submit from
+  // one thread.
   std::size_t submit(const core::ProtocolId& id,
                      std::function<core::RoundFindings()> work);
 
-  // Blocks until every submitted round has run, then returns all outcomes
-  // in submission order and resets the scheduler for the next batch.
-  // Never throws for round failures: inspect RoundOutcome::error.
-  // Throws std::logic_error while an async batch (begin_drain) is pending.
-  [[nodiscard]] std::vector<RoundOutcome> drain();
-
-  // Async half of the pipelined drain protocol: seals the current batch
-  // and registers `on_complete` to receive its outcomes (submission order,
-  // same contract as drain()). Non-blocking — if the batch already
+  // Seals the current batch and registers `on_complete` to receive its
+  // outcomes, one per ticket in submission order; the scheduler is then
+  // reset for the next batch. Round failures never throw: inspect
+  // RoundOutcome::error. Non-blocking — if the batch already
   // quiesced the callback runs synchronously on the calling thread;
   // otherwise the WORKER that completes the batch's last task invokes it
   // (with the scheduler lock released), which is where the engine's
   // submission-ordered fold runs off the simulator thread. Until the
-  // callback has run, submit(), drain(), and a second begin_drain() throw
+  // callback has run, submit() and a second begin_drain() throw
   // std::logic_error: tickets restart at 0 per batch, so interleaving a
   // new submission into an unfinished batch would corrupt the
   // ticket-to-result mapping. At most ONE batch is ever in flight — the
@@ -100,7 +96,6 @@ class RoundScheduler {
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::condition_variable drain_cv_;
   bool stopping_ = false;
 
   std::vector<Task> tasks_;                        // indexed by ticket

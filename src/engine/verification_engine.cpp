@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "core/verify_context.h"
 #include "obs/metrics.h"
@@ -89,7 +90,7 @@ void VerificationEngine::begin_drain() {
                           begin_ms](std::vector<RoundOutcome> raw) mutable {
     // Runs on whichever worker finishes the batch's last task (or on the
     // submitting thread when the batch already quiesced). Only touches the
-    // self-contained task outputs — node and sink stay with collect().
+    // self-contained task outputs — nodes stay with collect().
     CompletedBatch batch;
     batch.begin_ms = begin_ms;
     batch.folded.reserve(groups.size());
@@ -158,10 +159,10 @@ EngineReport VerificationEngine::collect(bool rethrow_errors) {
       if (!first_error) first_error = folded.error;
     } else {
       report.violations += folded.findings.evidence.size();
-      report.signatures_verified += folded.findings.signatures_verified;
-      sink_.record_all(folded.findings.evidence);  // copy into ordered log
       if (group.node != nullptr) {
-        group.node->apply_round_findings(group.id, folded.findings);
+        // The node's evidence log is the findings' one owner.
+        group.node->apply_round_findings(group.id,
+                                         std::exchange(folded.findings, {}));
       }
     }
     report.outcomes.push_back(std::move(folded));

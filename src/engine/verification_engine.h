@@ -1,4 +1,6 @@
-// Facade tying the engine together: FIFO scheduler + evidence sink.
+// Facade over the FIFO scheduler: submits verification rounds, folds each
+// round's split checks back together, and hands the folded findings to
+// exactly one owner.
 //
 // This is the DEFAULT verification path for simulator-driven rounds
 // (sequential PvrNode::finalize_round is the fallback):
@@ -7,12 +9,11 @@
 //   finalize_world_round(engine, world, handles.round_id(epoch));
 //   // or, node by node:
 //   for (PvrNode* node : verifiers) engine.submit_node_round(*node, id);
-//   engine.drain();   // findings delivered back to each node, evidence
-//                     // aggregated into engine.sink() in submission order
+//   engine.drain();   // findings moved into each node's evidence log
 //
 // Usage (standalone rounds, e.g. benches):
 //   engine.submit(id, [&] { return check(...); });
-//   EngineReport report = engine.drain();
+//   EngineReport report = engine.drain();   // findings in report.outcomes
 //
 // Rounds are identified by the full core::ProtocolId (prover, prefix,
 // epoch) throughout — outcomes and findings delivery — so concurrent
@@ -29,7 +30,7 @@
 // byte-identical to the sequential path at any worker count.
 //
 // Determinism: outcomes are applied in submission order after the pool has
-// quiesced, so node evidence logs and the sink's log are byte-identical
+// quiesced, so node evidence logs and report outcomes are byte-identical
 // across worker counts (see DESIGN.md §"Engine").
 //
 // Pipelined (two-phase) drain — DESIGN.md §12: begin_drain() seals the
@@ -38,12 +39,11 @@
 // findings (submission-ordered, the same core::fold_round_findings
 // reduction) into a completed-batch buffer. collect() then blocks only
 // until that fold is ready and performs the thread-owning half — node
-// apply_round_findings, sink recording — on the calling thread. drain()
-// remains the blocking composition begin_drain() + collect(), so every
-// legacy call site keeps the "after drain() returns, findings are applied"
-// contract; only callers that interleave simulation between the two phases
-// (the online scenario runner) migrate to the split protocol. At most one
-// batch is in flight: submit/begin_drain while one is pending throws.
+// apply_round_findings — on the calling thread. drain() is the blocking
+// composition begin_drain() + collect(): after it returns, findings are
+// applied. Callers that interleave simulation between the two phases (the
+// online scenario runner) use the split protocol. At most one batch is in
+// flight: submit/begin_drain while one is pending throws.
 #pragma once
 
 #include <condition_variable>
@@ -52,7 +52,6 @@
 #include <optional>
 #include <vector>
 
-#include "engine/evidence_sink.h"
 #include "engine/round_scheduler.h"
 
 namespace pvr::engine {
@@ -63,10 +62,15 @@ struct EngineConfig {
 
 struct EngineReport {
   // One outcome per ROUND (split checks are folded back), submission order.
+  // Findings have one owner: a node round's findings are moved into its
+  // node (PvrNode::evidence() / accepted_route), so its outcome carries
+  // only its id and error; a free-standing submit() round's findings stay
+  // here, in its outcome.
   std::vector<RoundOutcome> outcomes;
   std::uint64_t rounds = 0;
+  // Evidence items found by the batch's successful rounds, node and
+  // free-standing alike.
   std::uint64_t violations = 0;
-  std::uint64_t signatures_verified = 0;
   // Rounds whose closure threw (their outcomes carry the exception and no
   // findings). Long-lived online pipelines drain with rethrow_errors =
   // false and GATE on this count instead of unwinding mid-simulation.
@@ -90,17 +94,17 @@ class VerificationEngine {
   VerificationEngine(EngineConfig config, const core::KeyDirectory* directory);
 
   // Splits node's deferred finalize for round `id` into one task per check
-  // (no-op if already finalized). The folded findings are handed back to
-  // the node during drain().
+  // (no-op if already finalized). The folded findings are moved into the
+  // node during collect().
   bool submit_node_round(core::PvrNode& node, const core::ProtocolId& id);
 
-  // A free-standing round; its evidence goes only to the sink.
+  // A free-standing round; its findings are returned in the report's
+  // outcome for it.
   std::size_t submit(const core::ProtocolId& id,
                      std::function<core::RoundFindings()> work);
 
-  // Blocks until all submitted rounds have run; applies node findings back
-  // to their nodes, records all evidence into the sink (submission order),
-  // and returns the aggregate report. Incremental by design: a long-lived
+  // Blocks until all submitted rounds have run; moves node findings into
+  // their nodes (submission order) and returns the aggregate report. Incremental by design: a long-lived
   // engine alternates submit batches and drains, each drain returning that
   // batch's findings. If any round's closure threw it is counted in
   // EngineReport::failed_rounds and, when `rethrow_errors` (the default),
@@ -122,8 +126,8 @@ class VerificationEngine {
 
   // Phase two: blocks until the in-flight batch's fold is ready, then — on
   // the calling thread, which must be the thread that owns the submitted
-  // nodes — applies findings back to their nodes, records evidence into
-  // the sink (submission order), and returns the batch's report. Error
+  // nodes — moves findings into their nodes (submission order) and returns
+  // the batch's report. Error
   // semantics match drain(). Throws std::logic_error when no batch is in
   // flight.
   EngineReport collect(bool rethrow_errors = true);
@@ -131,7 +135,6 @@ class VerificationEngine {
   // True between begin_drain() and the matching collect().
   [[nodiscard]] bool has_pending() const noexcept { return pending_; }
 
-  [[nodiscard]] EvidenceSink& sink() noexcept { return sink_; }
   [[nodiscard]] const core::KeyDirectory& directory() const noexcept;
   [[nodiscard]] const core::VerifyContext& verify_context() const noexcept {
     return *ctx_;
@@ -163,7 +166,6 @@ class VerificationEngine {
 
   const core::VerifyContext* ctx_;  // not owned
   RoundScheduler scheduler_;
-  EvidenceSink sink_;
   std::vector<TaskGroup> groups_;  // submission order
   // Pipelined-drain state. `pending_` is only touched by the submitting
   // thread (begin_drain/collect are thread-compatible like submit); the

@@ -105,6 +105,9 @@ void FrameConn::close() {
 }
 
 void FrameConn::append(std::uint8_t type, std::span<const std::uint8_t> body) {
+  if (body.size() >= kMaxFrameBytes) {
+    throw std::length_error("FrameConn::append: frame exceeds kMaxFrameBytes");
+  }
   // Compact the already-written prefix occasionally so the buffer does not
   // grow without bound on a long-lived connection.
   if (out_pos_ > 0 && out_pos_ == out_.size()) {
@@ -177,7 +180,9 @@ bool FrameConn::read_frames(
                                 (std::uint32_t(in_[pos + 1]) << 16) |
                                 (std::uint32_t(in_[pos + 2]) << 8) |
                                 std::uint32_t(in_[pos + 3]);
-    if (total == 0) {  // no type byte: a broken peer, not a frame
+    // No type byte, or more than any sender produces: a broken peer, not
+    // a frame.
+    if (total == 0 || total > kMaxFrameBytes) {
       close();
       in_.clear();
       return false;

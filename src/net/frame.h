@@ -47,6 +47,13 @@ inline constexpr std::uint8_t kFrameDone = 19;
 inline constexpr std::uint8_t kFrameFinish = 20;
 inline constexpr std::uint8_t kFrameResult = 21;
 
+// Ceiling on a frame's u32 total_length (type byte + body). The largest
+// frame a run sends is a node's result frame (its evidence logs and trace
+// shard), which grows with the round count: ~348 KB for the 24-round
+// example_multiprocess_world default, so 64 MiB leaves ~190x headroom. A
+// header announcing more is a broken peer, not a frame still arriving.
+inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
 // Encodes `message` into exactly message.wire_size() bytes (the cookie is
 // in-memory only and never serialized).
 [[nodiscard]] std::vector<std::uint8_t> encode_message_body(
@@ -73,6 +80,8 @@ class FrameConn {
   }
 
   // Queues one frame for transmission (does not write to the socket).
+  // Throws std::length_error when the frame would exceed kMaxFrameBytes,
+  // which the receiving side would reject.
   void append(std::uint8_t type, std::span<const std::uint8_t> body);
 
   // Writes as much queued output as the socket currently accepts.
@@ -86,9 +95,10 @@ class FrameConn {
   // Reads every byte currently available and invokes `on_frame` for each
   // complete frame, in arrival order. Returns false once the peer has
   // closed or errored (a partial trailing frame is discarded — the
-  // disconnect-mid-message contract) or has sent a zero-length frame,
-  // which no sender produces: the frames before it are delivered, then the
-  // connection is closed like any other broken one.
+  // disconnect-mid-message contract) or has sent a zero-length frame or
+  // one longer than kMaxFrameBytes, which no sender produces: the frames
+  // before it are delivered, then the connection is closed like any other
+  // broken one.
   bool read_frames(
       const std::function<void(std::uint8_t, std::span<const std::uint8_t>)>&
           on_frame);

@@ -687,7 +687,13 @@ void Conductor::grant_and_apply(std::size_t child,
       placeholder.from = reader.get_u32();
       placeholder.to = reader.get_u32();
       placeholder.channel = reader.get_string();
-      placeholder.payload.resize(reader.get_u32());  // size-true, zero-filled
+      // The real payload travels in one peer frame, so no honest size
+      // exceeds the frame ceiling.
+      const std::uint32_t payload_size = reader.get_u32();
+      if (payload_size > net::kMaxFrameBytes) {
+        throw std::runtime_error("conductor: malformed action");
+      }
+      placeholder.payload.resize(payload_size);  // size-true, zero-filled
       sim_.send(std::move(placeholder));
     } else if (kind == kActionSchedule) {
       const net::SimTime at = reader.get_u64();

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/evidence.h"
@@ -78,6 +80,32 @@ using core::ViolationKind;
   return out;
 }
 
+// Every verifier's evidence log, concatenated in `verifiers` order: the
+// logs are where the engine delivers node rounds' findings.
+[[nodiscard]] std::vector<Evidence> node_logs(
+    Figure1World& world, const std::vector<bgp::AsNumber>& verifiers) {
+  std::vector<Evidence> logs;
+  for (const bgp::AsNumber verifier : verifiers) {
+    const std::vector<Evidence>& log = world.node(verifier).evidence();
+    logs.insert(logs.end(), log.begin(), log.end());
+  }
+  return logs;
+}
+
+[[nodiscard]] std::map<ViolationKind, std::uint64_t> count_by_kind(
+    const std::vector<Evidence>& log) {
+  std::map<ViolationKind, std::uint64_t> counts;
+  for (const Evidence& item : log) counts[item.kind] += 1;
+  return counts;
+}
+
+[[nodiscard]] std::uint64_t sum_counts(
+    const std::map<ViolationKind, std::uint64_t>& counts) {
+  std::uint64_t total = 0;
+  for (const auto& [kind, count] : counts) total += count;
+  return total;
+}
+
 TEST(EngineIntegrationTest, MatchesSequentialFinalizeUnderEquivocation) {
   // Two identical worlds (same seed => byte-identical message history):
   // one finalized sequentially, one through the 8-worker engine.
@@ -109,13 +137,77 @@ TEST(EngineIntegrationTest, MatchesSequentialFinalizeUnderEquivocation) {
     EXPECT_FALSE(engined.world->node(verifier).evidence().empty());
   }
 
-  // The sink aggregates everything the nodes saw, with per-class counters.
-  EXPECT_EQ(engine.sink().total(), report.violations);
-  EXPECT_GT(engine.sink().count(ViolationKind::kEquivocation), 0u);
+  // The node logs hold everything the batch found, per violation class.
+  const std::vector<Evidence> logs = node_logs(*engined.world, verifiers);
+  const std::map<ViolationKind, std::uint64_t> counts = count_by_kind(logs);
+  EXPECT_EQ(sum_counts(counts), report.violations);
+  EXPECT_GT(counts.count(ViolationKind::kEquivocation), 0u);
 
   // Equivocation evidence is third-party provable: the auditor accepts it.
   const core::Auditor auditor(&engined.keys->directory);
-  EXPECT_GT(engine.sink().validate_all(auditor), 0u);
+  for (const Evidence& item : logs) {
+    if (item.kind == ViolationKind::kEquivocation) {
+      EXPECT_TRUE(auditor.validate(item)) << item.to_string();
+    }
+  }
+}
+
+// A node round's findings have one owner: the engine moves them into the
+// node's evidence log, once, and the round's outcome keeps only its id and
+// error. That holds when another round of the batch throws, too: node
+// findings are delivered before the rethrow.
+TEST(EngineIntegrationTest, NodeRoundFindingsHaveOneOwner) {
+  Figure1Handles sequential = run_lossy_equivocation_world();
+  Figure1Handles engined = run_lossy_equivocation_world();
+  const core::ProtocolId id = engined.round_id(1);
+  std::vector<bgp::AsNumber> verifiers = engined.world->providers;
+  verifiers.push_back(engined.world->recipient);
+  for (const bgp::AsNumber verifier : verifiers) {
+    sequential.world->node(verifier).finalize_round(id);
+  }
+
+  VerificationEngine engine({.workers = 4}, &engined.keys->directory);
+  for (const bgp::AsNumber verifier : verifiers) {
+    EXPECT_TRUE(engine.submit_node_round(engined.world->node(verifier), id));
+  }
+  const EngineReport report = engine.drain();
+  ASSERT_EQ(report.outcomes.size(), verifiers.size());
+  std::uint64_t logged = 0;
+  for (std::size_t i = 0; i < verifiers.size(); ++i) {
+    const RoundOutcome& outcome = report.outcomes[i];
+    EXPECT_EQ(outcome.id, id);
+    EXPECT_EQ(outcome.error, nullptr);
+    EXPECT_TRUE(outcome.findings.evidence.empty()) << "verifier " << verifiers[i];
+    EXPECT_FALSE(outcome.findings.accepted.has_value());
+    const core::PvrNode& node = engined.world->node(verifiers[i]);
+    EXPECT_EQ(evidence_fingerprint(node.evidence()),
+              evidence_fingerprint(
+                  sequential.world->node(verifiers[i]).evidence()))
+        << "verifier " << verifiers[i];
+    EXPECT_EQ(node.accepted_route(id),
+              sequential.world->node(verifiers[i]).accepted_route(id));
+    logged += node.evidence().size();
+  }
+  EXPECT_GT(logged, 0u);
+  EXPECT_EQ(logged, report.violations);
+
+  // A throwing free-standing round in the same batch: drain() rethrows,
+  // but only after every node round was delivered.
+  Figure1Handles failing = run_lossy_equivocation_world();
+  VerificationEngine failing_engine({.workers = 4}, &failing.keys->directory);
+  for (const bgp::AsNumber verifier : verifiers) {
+    EXPECT_TRUE(
+        failing_engine.submit_node_round(failing.world->node(verifier), id));
+  }
+  failing_engine.submit(id, []() -> core::RoundFindings {
+    throw std::runtime_error("free-standing round exploded");
+  });
+  EXPECT_THROW((void)failing_engine.drain(), std::runtime_error);
+  for (const bgp::AsNumber verifier : verifiers) {
+    EXPECT_EQ(evidence_fingerprint(failing.world->node(verifier).evidence()),
+              evidence_fingerprint(sequential.world->node(verifier).evidence()))
+        << "verifier " << verifier;
+  }
 }
 
 TEST(EngineIntegrationTest, TotalLossYieldsOnlyLivenessFindings) {
@@ -151,7 +243,7 @@ TEST(EngineIntegrationTest, TotalLossYieldsOnlyLivenessFindings) {
   for (const bgp::AsNumber provider : world.providers) {
     EXPECT_TRUE(engine.submit_node_round(world.node(provider), handles.round_id(1)));
   }
-  (void)engine.drain();
+  const EngineReport report = engine.drain();
 
   const core::Auditor auditor(&handles.keys->directory);
   for (const bgp::AsNumber provider : world.providers) {
@@ -162,8 +254,10 @@ TEST(EngineIntegrationTest, TotalLossYieldsOnlyLivenessFindings) {
       EXPECT_FALSE(auditor.validate(item));
     }
   }
-  EXPECT_EQ(engine.sink().count(ViolationKind::kMissingReveal),
-            engine.sink().total());
+  const std::map<ViolationKind, std::uint64_t> counts =
+      count_by_kind(node_logs(world, world.providers));
+  EXPECT_EQ(sum_counts(counts), report.violations);
+  EXPECT_EQ(counts.at(ViolationKind::kMissingReveal), report.violations);
 }
 
 TEST(EngineIntegrationTest, FailedRoundDoesNotCorruptNextBatch) {
@@ -197,7 +291,11 @@ TEST(EngineIntegrationTest, FailedRoundDoesNotCorruptNextBatch) {
   const EngineReport report = engine.drain();
   EXPECT_EQ(report.rounds, 1u);
   EXPECT_EQ(report.violations, 1u);
-  EXPECT_EQ(engine.sink().count(core::ViolationKind::kBadOpening), 1u);
+  // A free-standing round's findings stay in its outcome.
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  ASSERT_EQ(report.outcomes[0].findings.evidence.size(), 1u);
+  EXPECT_EQ(report.outcomes[0].findings.evidence[0].kind,
+            core::ViolationKind::kBadOpening);
 }
 
 TEST(EngineIntegrationTest, DeferFinalizeIsIdempotent) {

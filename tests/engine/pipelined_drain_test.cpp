@@ -3,7 +3,8 @@
 // the calling thread. These tests pin the protocol's contract (DESIGN.md
 // §12): submission-ordered delivery across batches, one-batch-in-flight
 // guards, exception isolation, empty batches, and byte-parity with the
-// blocking drain() composition.
+// blocking drain() composition. Every round here is free-standing, so its
+// findings come back in the report's outcomes.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -40,10 +41,14 @@ namespace {
   return findings;
 }
 
-[[nodiscard]] std::string evidence_trace(
-    const std::vector<core::Evidence>& log) {
+// The evidence of a batch's outcomes, in outcome order.
+[[nodiscard]] std::string evidence_trace(const EngineReport& report) {
   std::string trace;
-  for (const core::Evidence& item : log) trace += item.detail + "|";
+  for (const RoundOutcome& outcome : report.outcomes) {
+    for (const core::Evidence& item : outcome.findings.evidence) {
+      trace += item.detail + "|";
+    }
+  }
   return trace;
 }
 
@@ -53,12 +58,13 @@ namespace {
   return VerificationEngine({.workers = workers}, &kEmptyDirectory);
 }
 
-// The sink log after several begin_drain/collect batches must equal the
-// GLOBAL submission order — batch boundaries shift work across threads but
-// never reorder delivery.
+// The outcomes of several begin_drain/collect batches, concatenated, must
+// follow the GLOBAL submission order — batch boundaries shift work across
+// threads but never reorder delivery.
 TEST(PipelinedDrainTest, SinkOrderSpansBatchesInSubmissionOrder) {
   VerificationEngine engine = make_engine(8);
   std::string expected;
+  std::string delivered;
   for (std::uint64_t batch = 1; batch <= 5; ++batch) {
     for (std::uint32_t prefix = 0; prefix < 17; ++prefix) {
       engine.submit(round_id(prefix, batch), [prefix, batch] {
@@ -72,15 +78,17 @@ TEST(PipelinedDrainTest, SinkOrderSpansBatchesInSubmissionOrder) {
     const EngineReport report = engine.collect();
     EXPECT_EQ(report.rounds, 17u);
     EXPECT_EQ(report.failed_rounds, 0u);
+    delivered += evidence_trace(report);
   }
-  EXPECT_EQ(evidence_trace(engine.sink().snapshot()), expected);
+  EXPECT_EQ(delivered, expected);
 }
 
 // Byte-parity: the same workload through begin_drain/collect and through
-// the blocking drain() must produce identical sink logs.
+// the blocking drain() must produce identical outcomes, batch after batch.
 TEST(PipelinedDrainTest, MatchesBlockingDrainByteForByte) {
   const auto run = [](bool pipelined) {
     VerificationEngine engine = make_engine(4);
+    std::string delivered;
     for (std::uint64_t batch = 1; batch <= 3; ++batch) {
       for (std::uint32_t prefix = 0; prefix < 23; ++prefix) {
         engine.submit(round_id(prefix, batch), [prefix, batch] {
@@ -89,12 +97,12 @@ TEST(PipelinedDrainTest, MatchesBlockingDrainByteForByte) {
       }
       if (pipelined) {
         engine.begin_drain();
-        (void)engine.collect();
+        delivered += evidence_trace(engine.collect());
       } else {
-        (void)engine.drain();
+        delivered += evidence_trace(engine.drain());
       }
     }
-    return evidence_trace(engine.sink().snapshot());
+    return delivered;
   };
   EXPECT_EQ(run(true), run(false));
 }
@@ -154,19 +162,21 @@ TEST(PipelinedDrainTest, ExceptionIsolationAcrossTheAsyncBoundary) {
   const EngineReport report = engine.collect(/*rethrow_errors=*/false);
   EXPECT_EQ(report.rounds, 3u);
   EXPECT_EQ(report.failed_rounds, 1u);
-  EXPECT_EQ(evidence_trace(engine.sink().snapshot()),
-            "round 0/1|round 2/1|");
+  EXPECT_EQ(evidence_trace(report), "round 0/1|round 2/1|");
+  ASSERT_EQ(report.outcomes.size(), 3u);
+  EXPECT_NE(report.outcomes[1].error, nullptr);
 
-  // With rethrow_errors (the default) the first error surfaces — but only
-  // AFTER the successful rounds' findings were recorded.
+  // With rethrow_errors (the default) the first error surfaces. The
+  // free-standing rounds' findings go down with the unreturned report;
+  // node rounds are delivered before the rethrow (pinned by
+  // EngineIntegrationTest.NodeRoundFindingsHaveOneOwner).
   engine.submit(round_id(3, 2), [] { return findings_for(3, 2); });
   engine.submit(round_id(4, 2), []() -> core::RoundFindings {
     throw std::runtime_error("round 4 exploded");
   });
   engine.begin_drain();
   EXPECT_THROW((void)engine.collect(), std::runtime_error);
-  EXPECT_EQ(evidence_trace(engine.sink().snapshot()),
-            "round 0/1|round 2/1|round 3/2|");
+  EXPECT_FALSE(engine.has_pending());
 }
 
 // The overlap accounting the scenario runner aggregates: work folded while

@@ -5,7 +5,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pvr::engine {
@@ -47,6 +49,24 @@ namespace {
   return trace;
 }
 
+// Seals the submitted batch with begin_drain and waits for its callback,
+// which the worker finishing the last task runs (or this thread, when the
+// batch already quiesced). Notifies under the lock: the locals die as soon
+// as the wait returns.
+[[nodiscard]] std::vector<RoundOutcome> drain_batch(RoundScheduler& scheduler) {
+  std::mutex mutex;
+  std::condition_variable delivered_cv;
+  std::optional<std::vector<RoundOutcome>> delivered;
+  scheduler.begin_drain([&](std::vector<RoundOutcome> outcomes) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    delivered = std::move(outcomes);
+    delivered_cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(mutex);
+  delivered_cv.wait(lock, [&] { return delivered.has_value(); });
+  return std::move(*delivered);
+}
+
 // `hot_key` submits every task under prefix 0 (same closures, only the
 // keys differ), the hot-prefix shape a keyed queue would serialize.
 [[nodiscard]] std::string run_workload(std::size_t workers,
@@ -59,7 +79,7 @@ namespace {
       });
     }
   }
-  return outcome_trace(scheduler.drain());
+  return outcome_trace(drain_batch(scheduler));
 }
 
 TEST(RoundSchedulerTest, DrainReturnsSubmissionOrder) {
@@ -68,7 +88,7 @@ TEST(RoundSchedulerTest, DrainReturnsSubmissionOrder) {
     scheduler.submit(round_id(epoch % 7, epoch),
                      [epoch] { return findings_for(epoch % 7, epoch); });
   }
-  const std::vector<RoundOutcome> outcomes = scheduler.drain();
+  const std::vector<RoundOutcome> outcomes = drain_batch(scheduler);
   ASSERT_EQ(outcomes.size(), 30u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].id.epoch, i + 1);
@@ -77,8 +97,8 @@ TEST(RoundSchedulerTest, DrainReturnsSubmissionOrder) {
   }
 }
 
-// Neither the worker count nor the submission keys change what drain()
-// returns.
+// Neither the worker count nor the submission keys change what a drained
+// batch delivers.
 TEST(RoundSchedulerTest, DeterministicAcrossWorkerCounts) {
   const std::string reference = run_workload(1);
   EXPECT_EQ(run_workload(2), reference);
@@ -110,7 +130,7 @@ TEST(RoundSchedulerTest, OneWorkerStartsTasksInTicketOrder) {
     });
     ASSERT_EQ(ticket, i);
   }
-  (void)scheduler.drain();
+  (void)drain_batch(scheduler);
   ASSERT_EQ(started.size(), kTasks);
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(started[i], i) << "task started out of ticket order";
@@ -151,7 +171,7 @@ TEST(RoundSchedulerTest, SameProtocolIdTasksRunConcurrently) {
       return findings;
     });
   }
-  const std::vector<RoundOutcome> outcomes = scheduler.drain();
+  const std::vector<RoundOutcome> outcomes = drain_batch(scheduler);
   ASSERT_EQ(outcomes.size(), kWorkers);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_EQ(outcomes[i].error, nullptr);
@@ -167,7 +187,7 @@ TEST(RoundSchedulerTest, ExceptionIsolatedToItsRound) {
   scheduler.submit(round_id(1, 1), []() -> core::RoundFindings {
     throw std::runtime_error("round blew up");
   });
-  const std::vector<RoundOutcome> outcomes = scheduler.drain();
+  const std::vector<RoundOutcome> outcomes = drain_batch(scheduler);
   ASSERT_EQ(outcomes.size(), 2u);
   // The healthy round's findings survive; the failed one carries its error.
   EXPECT_EQ(outcomes[0].error, nullptr);
@@ -177,7 +197,7 @@ TEST(RoundSchedulerTest, ExceptionIsolatedToItsRound) {
 
   // Scheduler must remain usable after a failed batch.
   scheduler.submit(round_id(2, 2), [] { return findings_for(2, 2); });
-  const std::vector<RoundOutcome> next = scheduler.drain();
+  const std::vector<RoundOutcome> next = drain_batch(scheduler);
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].id.epoch, 2u);
 }

@@ -2,7 +2,8 @@
 // (chunking at the 64 KiB boundary, malformed-input rejection), FrameConn's
 // write path (append + flush) for multi-chunk bodies, reassembly across
 // partial reads, and the dead-peer contracts (a torn trailing frame is
-// discarded, a zero-length frame reports the connection dead).
+// discarded; a zero-length frame, or one longer than kMaxFrameBytes,
+// reports the connection dead).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -195,6 +196,51 @@ TEST(FrameConnTest, ZeroLengthFrameReportsPeerDead) {
   EXPECT_FALSE(reader.open());
   EXPECT_FALSE(reader.read_frames(on_frame)) << "the connection stays dead";
   EXPECT_EQ(delivered.size(), 1u);
+  ::close(fds[1]);
+}
+
+// A header announcing more than kMaxFrameBytes can never complete as a
+// frame; buffering for it would hold the connection open forever. Both the
+// first length past the ceiling and the u32 maximum are refused.
+TEST(FrameConnTest, OversizedFrameReportsPeerDead) {
+  for (const std::uint32_t total : {kMaxFrameBytes + 1, 0xFFFFFFFFu}) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    FrameConn reader(fds[0]);
+
+    // A complete frame, then an oversized header with a few body bytes.
+    const std::vector<std::uint8_t> wire = {
+        0, 0, 0, 2, kFrameHello, 0xAA,
+        static_cast<std::uint8_t>(total >> 24),
+        static_cast<std::uint8_t>(total >> 16),
+        static_cast<std::uint8_t>(total >> 8),
+        static_cast<std::uint8_t>(total),
+        kFrameMessage, 0xBB, 0xCC};
+    ASSERT_EQ(::send(fds[1], wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+
+    std::vector<std::uint8_t> delivered;
+    const auto on_frame = [&](std::uint8_t type,
+                              std::span<const std::uint8_t> data) {
+      EXPECT_EQ(type, kFrameHello);
+      ASSERT_EQ(data.size(), 1u);
+      delivered.push_back(data[0]);
+    };
+    EXPECT_FALSE(reader.read_frames(on_frame))
+        << "a " << total << "-byte header must report the peer dead";
+    EXPECT_EQ(delivered, std::vector<std::uint8_t>{0xAA})
+        << "frames before the bad one are delivered";
+    EXPECT_FALSE(reader.open());
+    ::close(fds[1]);
+  }
+
+  // The sending side refuses to build a frame the receiver would refuse.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameConn writer(fds[0]);
+  const std::vector<std::uint8_t> oversized(kMaxFrameBytes);
+  EXPECT_THROW(writer.append(kFrameMessage, oversized), std::length_error);
+  EXPECT_FALSE(writer.has_pending_out());
   ::close(fds[1]);
 }
 
