@@ -4,11 +4,11 @@
 // --node), runs a named scenario in lockstep over real sockets, and then
 // proves the distributed run IS the simulated run:
 //
-//   1. the distributed report fingerprint equals a pure run_scenario() of
-//      the same spec, byte for byte,
+//   1. the distributed report fingerprint and evidence_digest equal a pure
+//      run_scenario() of the same spec, byte for byte,
 //   2. the merged message trace the conductor collected replays through
 //      scenario::replay_trace (SimTransport machinery) to the same
-//      fingerprint at workers 1, 2, and 8,
+//      fingerprint and evidence_digest at workers 1, 2, and 8,
 //   3. the attack is fully detected with zero false evidence,
 //   4. the conductor's merged metrics shards (its own delta + every
 //      child's) reproduce the single-process run's SIM-domain metrics
@@ -111,7 +111,17 @@ int main(int argc, char** argv) {
                 distributed.report.fingerprint().c_str());
     return 1;
   }
-  std::printf("  fingerprint parity: distributed == simulated\n");
+  // The evidence logs themselves, in application order: both deployments
+  // verify in the run's window-close order.
+  if (simulated.evidence_digest != distributed.report.evidence_digest) {
+    std::printf("FAIL: distributed evidence_digest diverges from the "
+                "simulator run\n  sim: %s\n  dist: %s\n",
+                simulated.evidence_digest.c_str(),
+                distributed.report.evidence_digest.c_str());
+    return 1;
+  }
+  std::printf("  fingerprint + evidence_digest parity: distributed == "
+              "simulated\n");
 
   // Parity leg 4 (DESIGN.md §14): the merged metrics shards — conductor
   // delta + every child's — must carry the exact SIM-domain section the
@@ -198,12 +208,14 @@ int main(int argc, char** argv) {
                                     std::size_t{8}}) {
     const scenario::ScenarioReport replayed =
         scenario::replay_trace(spec, distributed.trace, workers);
-    if (replayed.fingerprint() != distributed.report.fingerprint()) {
+    if (replayed.fingerprint() != distributed.report.fingerprint() ||
+        replayed.evidence_digest != distributed.report.evidence_digest) {
       std::printf("FAIL: trace replay at %zu workers diverges\n", workers);
       return 1;
     }
   }
-  std::printf("  trace replay parity: workers 1, 2, 8 all match\n");
+  std::printf("  trace replay parity (fingerprint + evidence_digest): "
+              "workers 1, 2, 8 all match\n");
   std::printf("OK\n");
   return 0;
 }

@@ -127,6 +127,15 @@ void FrameConn::append(std::uint8_t type, std::span<const std::uint8_t> body) {
   out_.insert(out_.end(), body.begin(), body.end());
 }
 
+void FrameConn::append_chunked(std::uint8_t type,
+                               std::span<const std::uint8_t> body) {
+  while (body.size() > kChunkBytes) {
+    append(kFrameChunk, body.first(kChunkBytes));
+    body = body.subspan(kChunkBytes);
+  }
+  append(type, body);
+}
+
 bool FrameConn::flush() {
   while (out_pos_ < out_.size()) {
     const ssize_t wrote =
@@ -198,27 +207,39 @@ bool FrameConn::read_frames(
 }
 
 bool FrameConn::read_one_frame(std::uint8_t& type,
-                               std::vector<std::uint8_t>& body) {
-  bool got_frame = false;
-  while (!got_frame) {
-    bool alive = true;
-    // Drain whatever is buffered/readable first.
-    alive = read_frames([&](std::uint8_t t, std::span<const std::uint8_t> b) {
-      if (got_frame) {
-        throw std::logic_error(
-            "FrameConn::read_one_frame: multiple frames in flight on a "
-            "lockstep control connection");
-      }
-      type = t;
-      body.assign(b.begin(), b.end());
-      got_frame = true;
-    });
-    if (got_frame) return true;
+                               std::vector<std::uint8_t>& body,
+                               std::size_t max_body) {
+  body.clear();
+  bool done = false;
+  bool oversized = false;
+  while (true) {
+    const bool alive =
+        read_frames([&](std::uint8_t t, std::span<const std::uint8_t> b) {
+          if (done) {
+            throw std::logic_error(
+                "FrameConn::read_one_frame: multiple frames in flight on a "
+                "lockstep control connection");
+          }
+          if (oversized || b.size() > max_body - body.size()) {
+            oversized = true;
+            return;
+          }
+          body.insert(body.end(), b.begin(), b.end());
+          if (t != kFrameChunk) {
+            type = t;
+            done = true;
+          }
+        });
+    if (oversized) {
+      close();
+      body.clear();
+      return false;
+    }
+    if (done) return true;
     if (!alive) return false;
     pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
     if (::poll(&pfd, 1, 10'000) < 0 && errno != EINTR) return false;
   }
-  return true;
 }
 
 int listen_loopback(std::uint16_t& port) {

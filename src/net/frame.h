@@ -21,6 +21,7 @@
 // single-threaded — the owning loop is the only caller.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -46,13 +47,22 @@ inline constexpr std::uint8_t kFrameGrant = 18;
 inline constexpr std::uint8_t kFrameDone = 19;
 inline constexpr std::uint8_t kFrameFinish = 20;
 inline constexpr std::uint8_t kFrameResult = 21;
+// A leading piece of a chunked transfer (FrameConn::append_chunked).
+inline constexpr std::uint8_t kFrameChunk = 22;
 
-// Ceiling on a frame's u32 total_length (type byte + body). The largest
-// frame a run sends is a node's result frame (its evidence logs and trace
-// shard), which grows with the round count: ~348 KB for the 24-round
-// example_multiprocess_world default, so 64 MiB leaves ~190x headroom. A
-// header announcing more is a broken peer, not a frame still arriving.
+// Ceiling on a frame's u32 total_length (type byte + body). A header
+// announcing more is a broken peer, not a frame still arriving.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+// Largest body one frame of a chunked transfer carries, 1/64 of the
+// ceiling. A node's result (its evidence logs and trace shard, ~14 KB per
+// round per process) and the conductor's window-close log (25 B per round)
+// grow with the run, so they travel chunked and no run length can push a
+// frame past kMaxFrameBytes.
+inline constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+// Default ceiling on a reassembled chunked transfer (1024 chunks, ~75k
+// rounds of one node's result). A peer that keeps sending kFrameChunk
+// past it is broken, and its connection is closed.
+inline constexpr std::size_t kMaxTransferBytes = std::size_t{1} << 30;
 
 // Encodes `message` into exactly message.wire_size() bytes (the cookie is
 // in-memory only and never serialized).
@@ -83,6 +93,9 @@ class FrameConn {
   // Throws std::length_error when the frame would exceed kMaxFrameBytes,
   // which the receiving side would reject.
   void append(std::uint8_t type, std::span<const std::uint8_t> body);
+  // Queues `body`, of any size, as a chunked transfer: kFrameChunk frames
+  // of kChunkBytes each, then one frame of `type` with the remainder.
+  void append_chunked(std::uint8_t type, std::span<const std::uint8_t> body);
 
   // Writes as much queued output as the socket currently accepts.
   // Returns false when the connection is dead (peer reset / closed).
@@ -103,9 +116,14 @@ class FrameConn {
       const std::function<void(std::uint8_t, std::span<const std::uint8_t>)>&
           on_frame);
 
-  // Blocks until one frame arrives (for the lockstep control plane).
-  // Returns false on disconnect.
-  bool read_one_frame(std::uint8_t& type, std::vector<std::uint8_t>& body);
+  // Blocks until one frame, or one chunked transfer, arrives (for the
+  // lockstep control plane): `body` is the kFrameChunk pieces and the
+  // closing frame's body concatenated, `type` the closing frame's type; a
+  // plain frame is a transfer of one frame. Returns false on disconnect,
+  // and closes the connection and returns false once the body would
+  // exceed `max_body`.
+  bool read_one_frame(std::uint8_t& type, std::vector<std::uint8_t>& body,
+                      std::size_t max_body = kMaxTransferBytes);
 
   void close();
 

@@ -10,14 +10,16 @@ namespace pvr::net {
 namespace {
 
 constexpr std::uint32_t kTraceMagic = 0x50565254;  // "PVRT"
-constexpr std::uint32_t kTraceVersion = 1;
+constexpr std::uint32_t kTraceVersion = 2;
 // Smallest wire form of each counted item, which bounds what a count read
 // from the input may claim: an entry is sequence, time, from, to and two
 // empty length-prefixed fields; a channel an empty name plus four u64
-// counters; a prover a node id plus two u64 counters.
+// counters; a prover a node id plus two u64 counters; a close its time,
+// prover, epoch and prefix.
 constexpr std::size_t kMinEntryBytes = 8 + 8 + 4 + 4 + 4 + 4;
 constexpr std::size_t kMinChannelBytes = 4 + 4 * 8;
 constexpr std::size_t kMinProverBytes = 4 + 8 + 8;
+constexpr std::size_t kCloseBytes = 8 + 4 + 8 + 4 + 1;
 
 void encode_channel_stats(crypto::ByteWriter& writer, const ChannelStats& stats) {
   writer.put_u64(stats.messages_sent);
@@ -36,6 +38,30 @@ void encode_channel_stats(crypto::ByteWriter& writer, const ChannelStats& stats)
 }
 
 }  // namespace
+
+void encode_closes(crypto::ByteWriter& writer,
+                   std::span<const TraceClose> closes) {
+  writer.put_u64(closes.size());
+  for (const TraceClose& close : closes) {
+    writer.put_u64(close.at);
+    writer.put_u32(close.prover);
+    writer.put_u64(close.epoch);
+    writer.put_u32(close.prefix_address);
+    writer.put_u8(close.prefix_length);
+  }
+}
+
+std::vector<TraceClose> decode_closes(crypto::ByteReader& reader) {
+  std::vector<TraceClose> closes(reader.get_count_u64(kCloseBytes));
+  for (TraceClose& close : closes) {
+    close.at = reader.get_u64();
+    close.prover = reader.get_u32();
+    close.epoch = reader.get_u64();
+    close.prefix_address = reader.get_u32();
+    close.prefix_length = reader.get_u8();
+  }
+  return closes;
+}
 
 void MessageTrace::record_delivery(SimTime at, const Message& message) {
   entries.push_back(TraceEntry{
@@ -85,6 +111,7 @@ std::vector<std::uint8_t> MessageTrace::encode() const {
     writer.put_u64(meta.rounds_started);
     writer.put_u64(meta.windows_fired);
   }
+  encode_closes(writer, closes);
   return writer.take();
 }
 
@@ -130,6 +157,7 @@ MessageTrace MessageTrace::decode(std::span<const std::uint8_t> data) {
     meta.windows_fired = reader.get_u64();
     trace.provers.push_back(meta);
   }
+  trace.closes = decode_closes(reader);
   if (!reader.exhausted()) {
     throw std::invalid_argument("MessageTrace::decode: trailing bytes");
   }

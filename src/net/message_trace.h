@@ -3,8 +3,9 @@
 // simulator.
 //
 // A trace records every DELIVERED message (dropped messages never appear),
-// in a single global delivery order, plus the run's wire accounting and the
-// per-prover round/window counters a ScenarioReport needs. Replaying the
+// in a single global delivery order, plus the run's wire accounting, the
+// per-prover round/window counters a ScenarioReport needs, and the
+// window-close log that fixes the order rounds are verified in. Replaying the
 // trace through a SimTransport (scenario::replay_trace) re-delivers each
 // message to its destination node at its recorded time and order; because
 // every verifier-side state transition happens on DELIVERY, the replayed
@@ -22,6 +23,11 @@
 #include <vector>
 
 #include "net/transport.h"
+
+namespace pvr::crypto {
+class ByteReader;
+class ByteWriter;
+}  // namespace pvr::crypto
 
 namespace pvr::net {
 
@@ -42,6 +48,24 @@ struct TraceProverMeta {
   std::uint64_t rounds_started = 0;
   std::uint64_t windows_fired = 0;
 };
+
+// One round a prover's window close opened for verification. A run's
+// window-close log lists them in global close order, which is the order
+// every deployment verifies rounds in (DESIGN.md §10). The prefix travels
+// as its (address, length) pair so this layer needs no bgp types.
+struct TraceClose {
+  SimTime at = 0;
+  NodeId prover = 0;
+  std::uint64_t epoch = 0;
+  std::uint32_t prefix_address = 0;
+  std::uint8_t prefix_length = 0;
+};
+
+// The window-close log's wire form, shared by the trace codec and the
+// multiprocess finish frame: a u64 count, then the fixed-size entries.
+// decode_closes bounds the count by the bytes left in `reader`.
+void encode_closes(crypto::ByteWriter& writer, std::span<const TraceClose> closes);
+[[nodiscard]] std::vector<TraceClose> decode_closes(crypto::ByteReader& reader);
 
 class MessageTrace {
  public:
@@ -72,6 +96,7 @@ class MessageTrace {
   // are the byte counters the replayed report carries.
   SimStats stats;
   std::vector<TraceProverMeta> provers;
+  std::vector<TraceClose> closes;  // the window-close log
 
  private:
   std::uint64_t next_sequence_ = 0;

@@ -20,7 +20,6 @@
 #include "core/evidence.h"
 #include "core/pvr_speaker.h"
 #include "crypto/encoding.h"
-#include "engine/verification_engine.h"
 #include "net/frame.h"
 #include "net/simulator.h"
 #include "obs/export.h"
@@ -36,6 +35,8 @@ constexpr std::uint8_t kGrantTimer = 1;
 constexpr std::uint8_t kGrantDeliver = 2;
 constexpr std::uint8_t kActionSend = 0;
 constexpr std::uint8_t kActionSchedule = 1;
+// Smallest encoded action: a schedule's kind, time and timer id.
+constexpr std::size_t kMinActionBytes = 1 + 8 + 8;
 
 [[nodiscard]] std::pair<net::NodeId, net::NodeId> norm_pair(net::NodeId a,
                                                             net::NodeId b) {
@@ -46,30 +47,12 @@ constexpr std::uint8_t kActionSchedule = 1;
 // Child side: the lockstep transport and grant server.
 // ---------------------------------------------------------------------------
 
-struct SendAction {
-  std::uint64_t cookie = 0;
-  net::NodeId from = 0;
-  net::NodeId to = 0;
-  std::string channel;
-  std::uint32_t payload_size = 0;
-};
-
-struct ScheduleAction {
-  net::SimTime at = 0;
-  std::uint64_t timer_id = 0;
-};
-
-struct Action {
-  bool is_send = false;
-  SendAction send;
-  ScheduleAction schedule;
-};
-
 // The node-process message plane. Executes ONLY inside a conductor grant:
 // now() is the granted event time, send() relays real bytes to the owning
 // peer process (or buffers locally) and RECORDS the send so the conductor
 // can mirror it as a placeholder, schedule() parks the closure until the
-// conductor grants the timer.
+// conductor grants the timer, and note_close() records a local prover's
+// window close for the conductor's window-close log.
 class LockstepTransport final : public net::Transport {
  public:
   LockstepTransport(const WorldPlan& plan, std::size_t process_index,
@@ -89,11 +72,9 @@ class LockstepTransport final : public net::Transport {
 
   void begin_grant(net::SimTime at) {
     now_ = at;
-    actions_.clear();
+    done_ = GrantDone{};
   }
-  [[nodiscard]] const std::vector<Action>& actions() const noexcept {
-    return actions_;
-  }
+  [[nodiscard]] const GrantDone& done() const noexcept { return done_; }
   [[nodiscard]] std::map<std::uint64_t, net::Message>& local_buffer() noexcept {
     return buffer_;
   }
@@ -130,15 +111,15 @@ class LockstepTransport final : public net::Transport {
       tracer.flow('s', "msg.flow", "flow", obs::Track::kSim, message.from,
                   now_, cookie);
     }
-    actions_.push_back(Action{
+    done_.actions.push_back(GrantDone::Action{
         .is_send = true,
-        .send = SendAction{
-            .cookie = cookie,
-            .from = message.from,
-            .to = message.to,
-            .channel = message.channel,
-            .payload_size = static_cast<std::uint32_t>(message.payload.size())},
-        .schedule = {}});
+        .cookie = cookie,
+        .from = message.from,
+        .to = message.to,
+        .channel = message.channel,
+        .payload_size = static_cast<std::uint32_t>(message.payload.size()),
+        .at = 0,
+        .timer_id = 0});
     const std::size_t owner = owner_of(*plan_, message.to, processes_);
     if (owner == process_index_) {
       buffer_.emplace(cookie, std::move(message));
@@ -172,10 +153,13 @@ class LockstepTransport final : public net::Transport {
   void schedule(net::SimTime at, std::function<void()> fn) override {
     const std::uint64_t id = next_timer_++;
     timers_.emplace(id, std::move(fn));
-    actions_.push_back(Action{
-        .is_send = false,
-        .send = {},
-        .schedule = ScheduleAction{.at = at, .timer_id = id}});
+    GrantDone::Action action;
+    action.at = at;
+    action.timer_id = id;
+    done_.actions.push_back(std::move(action));
+  }
+  void note_close(const net::TraceClose& round) {
+    done_.closes.push_back(round);
   }
   [[nodiscard]] const net::SimStats& stats() const override { return stats_; }
 
@@ -186,7 +170,7 @@ class LockstepTransport final : public net::Transport {
   std::set<std::pair<net::NodeId, net::NodeId>> links_;
   std::map<net::NodeId, std::vector<net::NodeId>> adjacency_;
   net::SimTime now_ = 0;
-  std::vector<Action> actions_;
+  GrantDone done_;
   std::map<std::uint64_t, std::function<void()>> timers_;
   std::uint64_t next_timer_ = 1;
   std::uint64_t next_cookie_ = 1;
@@ -206,6 +190,69 @@ std::size_t owner_of(const WorldPlan& plan, bgp::AsNumber asn,
     throw std::invalid_argument("owner_of: unknown participant");
   }
   return static_cast<std::size_t>(it - plan.participants.begin()) % processes;
+}
+
+std::vector<std::uint8_t> encode_grant_done(const GrantDone& done) {
+  crypto::ByteWriter writer;
+  writer.put_u32(static_cast<std::uint32_t>(done.actions.size()));
+  for (const GrantDone::Action& action : done.actions) {
+    if (action.is_send) {
+      writer.put_u8(kActionSend);
+      writer.put_u64(action.cookie);
+      writer.put_u32(action.from);
+      writer.put_u32(action.to);
+      writer.put_string(action.channel);
+      writer.put_u32(action.payload_size);
+    } else {
+      writer.put_u8(kActionSchedule);
+      writer.put_u64(action.at);
+      writer.put_u64(action.timer_id);
+    }
+  }
+  net::encode_closes(writer, done.closes);
+  return writer.take();
+}
+
+GrantDone decode_grant_done(std::span<const std::uint8_t> body) {
+  crypto::ByteReader reader(body);
+  GrantDone done;
+  done.actions.resize(reader.get_count(kMinActionBytes));
+  for (GrantDone::Action& action : done.actions) {
+    const std::uint8_t kind = reader.get_u8();
+    if (kind == kActionSend) {
+      action.is_send = true;
+      action.cookie = reader.get_u64();
+      action.from = reader.get_u32();
+      action.to = reader.get_u32();
+      action.channel = reader.get_string();
+      // The real payload travels in one peer frame, so no honest size
+      // exceeds the frame ceiling.
+      action.payload_size = reader.get_u32();
+      if (action.payload_size > net::kMaxFrameBytes) {
+        throw std::invalid_argument("decode_grant_done: oversized placeholder");
+      }
+    } else if (kind == kActionSchedule) {
+      action.at = reader.get_u64();
+      action.timer_id = reader.get_u64();
+    } else {
+      throw std::invalid_argument("decode_grant_done: unknown action");
+    }
+  }
+  done.closes = net::decode_closes(reader);
+  if (!reader.exhausted()) {
+    throw std::invalid_argument("decode_grant_done: trailing bytes");
+  }
+  return done;
+}
+
+std::vector<net::TraceClose> decode_finish_log(
+    std::span<const std::uint8_t> body) {
+  crypto::ByteReader reader(body);
+  std::vector<net::TraceClose> log = net::decode_closes(reader);
+  if (!reader.exhausted()) {
+    throw std::invalid_argument("decode_finish_log: trailing bytes");
+  }
+  return log;
 }
 
 int run_node_process(const std::string& scenario, std::uint64_t seed,
@@ -283,6 +330,14 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
   const WorldRuntime world(spec, plan, [&](bgp::AsNumber asn) {
     return owner_of(plan, asn, processes) == process_index;
   });
+  for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
+    if (core::PvrNode* prover = world.hood(h).prover) {
+      watch_window_closes(*prover, transport,
+                          [&transport](const net::TraceClose& round) {
+                            transport.note_close(round);
+                          });
+    }
+  }
 
   // Relayed real messages from peer processes, keyed by cookie. Entries are
   // kept after delivery so an interceptor-replayed placeholder can be
@@ -416,23 +471,7 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       for (auto& [index, conn] : peers) {
         if (conn->has_pending_out() && !conn->flush_all()) return 2;
       }
-      crypto::ByteWriter done;
-      done.put_u32(static_cast<std::uint32_t>(transport.actions().size()));
-      for (const Action& action : transport.actions()) {
-        if (action.is_send) {
-          done.put_u8(kActionSend);
-          done.put_u64(action.send.cookie);
-          done.put_u32(action.send.from);
-          done.put_u32(action.send.to);
-          done.put_string(action.send.channel);
-          done.put_u32(action.send.payload_size);
-        } else {
-          done.put_u8(kActionSchedule);
-          done.put_u64(action.schedule.at);
-          done.put_u64(action.schedule.timer_id);
-        }
-      }
-      control.append(net::kFrameDone, done.data());
+      control.append(net::kFrameDone, encode_grant_done(transport.done()));
       if (!control.flush_all()) return 2;
       continue;
     }
@@ -440,26 +479,27 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
     return 2;
   }
 
-  // Offline verification of the local verifier shard, exactly the runner's
-  // offline pass restricted to locally-owned nodes. Evidence is engine-order
-  // deterministic, so shards concatenate into the monolithic logs.
-  engine::VerificationEngine engine({.workers = spec.workers},
-                                    &world.verify_context());
-  engine::EngineReport drained;
-  {
+  // The conductor's window-close log, flushed once through the verify half
+  // of the local shard: every local verifier checks its rounds in the close
+  // order the monolithic run uses, so shards concatenate into its logs. A
+  // log that does not parse, or names a round no planned prover closes, is
+  // malformed control input like a bad grant.
+  std::uint64_t failed_rounds = 0;
+  try {
     const obs::TraceSpan verify_span("node.verify_shard", "scenario");
-    drained = world.verify_offline(engine);
+    VerifyPipeline verify(world, spec.workers);
+    verify.step(decode_finish_log(body));
+    verify.harvest();
+    failed_rounds = verify.totals().failed_rounds;
+  } catch (const std::exception&) {
+    return 2;
   }
 
   crypto::ByteWriter result;
-  result.put_u64(drained.failed_rounds);
-  const std::vector<net::TraceProverMeta> provers = world.prover_meta();
-  result.put_u32(static_cast<std::uint32_t>(provers.size()));
-  for (const net::TraceProverMeta& prover : provers) {
-    result.put_u32(prover.node);
-    result.put_u64(prover.rounds_started);
-    result.put_u64(prover.windows_fired);
-  }
+  result.put_u64(failed_rounds);
+  // The trace shard carries the local provers' counters with it.
+  shard.provers = world.prover_meta();
+  result.put_bytes(shard.encode());
   // Every verifier slot in (hood, verifier) order: the owner ships its
   // log, every other process an empty one.
   for (std::size_t h = 0; h < plan.hoods.size(); ++h) {
@@ -474,12 +514,6 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
       }
     }
   }
-  result.put_u32(static_cast<std::uint32_t>(shard.entries.size()));
-  for (const net::TraceEntry& entry : shard.entries) {
-    result.put_u64(entry.sequence);
-    result.put_u64(entry.at);
-    result.put_bytes(net::encode_message_body(entry.message));
-  }
   // Observability shard: the run's metrics delta (conductor merges all
   // shards) and this process's trace file, flushed before the result frame
   // so the conductor can stitch immediately after reaping.
@@ -490,7 +524,7 @@ int run_node_process(const std::string& scenario, std::uint64_t seed,
     trace_path.clear();
   }
   result.put_string(trace_path);
-  control.append(net::kFrameResult, result.data());
+  control.append_chunked(net::kFrameResult, result.data());
   if (!control.flush_all()) return 2;
   ::close(data_listen);
   return 0;
@@ -577,6 +611,7 @@ class Conductor {
   net::Simulator sim_;
   std::vector<ChildProc> children_;
   std::uint64_t next_trace_sequence_ = 0;
+  std::vector<net::TraceClose> closes_;  // the run's window-close log
   obs::MetricsSnapshot obs_baseline_;
   std::vector<MultiprocessResult::StatsPoint> stats_timeline_;
   std::vector<std::string> child_trace_paths_;
@@ -677,38 +712,27 @@ void Conductor::grant_and_apply(std::size_t child,
   }
   // Mirror the child's actions into the deterministic queue, in execution
   // order — this is what pins sequence parity with the monolithic run.
-  crypto::ByteReader reader(body);
-  const std::uint32_t count = reader.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint8_t kind = reader.get_u8();
-    if (kind == kActionSend) {
+  GrantDone done = decode_grant_done(body);
+  for (GrantDone::Action& action : done.actions) {
+    if (action.is_send) {
       net::Message placeholder;
-      placeholder.cookie = reader.get_u64();
-      placeholder.from = reader.get_u32();
-      placeholder.to = reader.get_u32();
-      placeholder.channel = reader.get_string();
-      // The real payload travels in one peer frame, so no honest size
-      // exceeds the frame ceiling.
-      const std::uint32_t payload_size = reader.get_u32();
-      if (payload_size > net::kMaxFrameBytes) {
-        throw std::runtime_error("conductor: malformed action");
-      }
-      placeholder.payload.resize(payload_size);  // size-true, zero-filled
+      placeholder.cookie = action.cookie;
+      placeholder.from = action.from;
+      placeholder.to = action.to;
+      placeholder.channel = std::move(action.channel);
+      placeholder.payload.resize(action.payload_size);  // size-true, zeroed
       sim_.send(std::move(placeholder));
-    } else if (kind == kActionSchedule) {
-      const net::SimTime at = reader.get_u64();
-      const std::uint64_t timer_id = reader.get_u64();
-      sim_.schedule(at, [this, child, timer_id] {
+    } else {
+      sim_.schedule(action.at, [this, child, timer_id = action.timer_id] {
         crypto::ByteWriter grant;
         grant.put_u8(kGrantTimer);
         grant.put_u64(sim_.now());
         grant.put_u64(timer_id);
         grant_and_apply(child, grant.data());
       });
-    } else {
-      throw std::runtime_error("conductor: malformed action");
     }
   }
+  closes_.insert(closes_.end(), done.closes.begin(), done.closes.end());
   if (options_.poll_stats) poll_child_stats(child);
 }
 
@@ -744,8 +768,16 @@ void Conductor::collect_results(MultiprocessResult& out) {
   }
   std::map<net::NodeId, net::TraceProverMeta> provers;
 
+  // The order half of the window-close queue: the run's rounds settle at
+  // quiescence, in close order (the monolithic offline flush), and every
+  // child verifies its shard in that order.
+  SettleOrder order(settle_horizon_for(spec_, plan_));
+  for (const net::TraceClose& round : closes_) order.close(round);
+  (void)order.settle(sim_.now(), /*flush=*/true);
+  crypto::ByteWriter finish;
+  net::encode_closes(finish, closes_);
   for (ChildProc& child : children_) {
-    child.control->append(net::kFrameFinish, {});
+    child.control->append_chunked(net::kFrameFinish, finish.data());
     if (!child.control->flush_all()) {
       throw std::runtime_error("conductor: child hung up at finish");
     }
@@ -759,13 +791,12 @@ void Conductor::collect_results(MultiprocessResult& out) {
     }
     crypto::ByteReader reader(body);
     out.report.verify_failures += reader.get_u64();
-    const std::uint32_t prover_count = reader.get_u32();
-    for (std::uint32_t i = 0; i < prover_count; ++i) {
-      net::TraceProverMeta meta;
-      meta.node = reader.get_u32();
-      meta.rounds_started = reader.get_u64();
-      meta.windows_fired = reader.get_u64();
+    net::MessageTrace shard = net::MessageTrace::decode(reader.get_bytes());
+    for (const net::TraceProverMeta& meta : shard.provers) {
       provers.emplace(meta.node, meta);
+    }
+    for (net::TraceEntry& entry : shard.entries) {
+      out.trace.append(std::move(entry));
     }
     for (std::vector<std::vector<core::Evidence>>& hood_logs : evidence) {
       for (std::vector<core::Evidence>& log : hood_logs) {
@@ -774,14 +805,6 @@ void Conductor::collect_results(MultiprocessResult& out) {
           log.push_back(core::Evidence::decode(reader.get_bytes()));
         }
       }
-    }
-    const std::uint32_t entry_count = reader.get_u32();
-    for (std::uint32_t i = 0; i < entry_count; ++i) {
-      net::TraceEntry entry;
-      entry.sequence = reader.get_u64();
-      entry.at = reader.get_u64();
-      entry.message = net::decode_message_body(reader.get_bytes());
-      out.trace.append(std::move(entry));
     }
     out.child_obs.push_back(obs::MetricsSnapshot::decode(reader.get_bytes()));
     child_trace_paths_.push_back(reader.get_string());
@@ -792,10 +815,13 @@ void Conductor::collect_results(MultiprocessResult& out) {
   out.trace.backend = "multiprocess";
   out.trace.stats = sim_.stats();
   for (const auto& [node, meta] : provers) out.trace.provers.push_back(meta);
+  out.trace.closes = closes_;
 
   // Score and account exactly like the monolithic runner.
   fill_report(spec_, plan_, out.trace.provers, out.report);
   out.report.drain_batches = 1;
+  out.report.p50_settle_us = order.latency().quantile(0.5);
+  out.report.p99_settle_us = order.latency().quantile(0.99);
   score_evidence(plan_,
                  [&evidence](std::size_t h, std::size_t v)
                      -> const std::vector<core::Evidence>& {

@@ -13,26 +13,32 @@
 //   grant(app event k / timer id / deliver cookie)  →  child executes the
 //   closure against its real PvrNodes and replies with the ordered list of
 //   actions the handler took (sends with their wire metadata, one-shot
-//   schedules). The conductor replays those actions into its simulator —
-//   sends as PLACEHOLDER messages (same channel, same payload size, so
-//   latency draws, interceptor decisions, and byte accounting are
-//   identical; Message::cookie carries the correlation tag), schedules as
-//   future grants. Real payload bytes travel peer-to-peer between node
-//   processes, keyed by the same cookie, and are delivered to the
-//   destination node when (and only when) the conductor grants it.
+//   schedules) and the window closes it saw. The conductor replays those
+//   actions into its simulator — sends as PLACEHOLDER messages (same
+//   channel, same payload size, so latency draws, interceptor decisions,
+//   and byte accounting are identical; Message::cookie carries the
+//   correlation tag), schedules as future grants — and appends the closes
+//   to the run's window-close log. Real payload bytes travel peer-to-peer
+//   between node processes, keyed by the same cookie, and are delivered to
+//   the destination node when (and only when) the conductor grants it.
 //
 // Sequence parity is by construction: the conductor's simulator makes the
 // same schedule()/send() calls in the same order as the monolithic run's
 // handlers did, so same-time events tiebreak identically. Each child builds
 // its shard of the world with scenario::WorldRuntime (only the ASes it
-// owns); at the end it engine-verifies them and ships the evidence logs,
-// prover counters, and its MessageTrace shard (conductor-issued sequence
-// numbers) back; the conductor scores with the shared score_evidence pass
-// and merges the shards into one trace that replays through
-// scenario::replay_trace to the same fingerprint. DESIGN.md §13.
+// owns). The conductor holds the clock, so it owns the order half of the
+// window-close queue (world.h): at the end it sends every child the
+// window-close log, and each child flushes it once through its verify half
+// — the close order the monolithic run verifies in. The children ship
+// their evidence logs, prover counters, and MessageTrace shards
+// (conductor-issued sequence numbers) back; the conductor scores with the
+// shared score_evidence pass and merges the shards and the log into one
+// trace that replays through scenario::replay_trace to the same
+// fingerprint and evidence_digest. DESIGN.md §13.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,6 +101,37 @@ struct MultiprocessResult {
 // computes the same map.
 [[nodiscard]] std::size_t owner_of(const WorldPlan& plan, bgp::AsNumber asn,
                                    std::size_t processes);
+
+// What one grant's handler did, in execution order: the kFrameDone body.
+// The conductor mirrors the actions into its simulator and appends the
+// closes to the run's window-close log.
+struct GrantDone {
+  struct Action {
+    bool is_send = false;
+    // Send: the placeholder's wire metadata; the real bytes travel
+    // peer-to-peer under the same cookie.
+    std::uint64_t cookie = 0;
+    net::NodeId from = 0;
+    net::NodeId to = 0;
+    std::string channel;
+    std::uint32_t payload_size = 0;
+    // Schedule: a one-shot timer the conductor grants back at `at`.
+    net::SimTime at = 0;
+    std::uint64_t timer_id = 0;
+  };
+  std::vector<Action> actions;
+  std::vector<net::TraceClose> closes;  // the local provers' window closes
+};
+
+// The control-frame codecs, free so hostile-input tests reach them without
+// a forked child. Both decoders throw std::out_of_range on truncation or a
+// count the body cannot hold, and std::invalid_argument on trailing bytes;
+// decode_grant_done also on a placeholder payload over net::kMaxFrameBytes.
+// The kFrameFinish body is the conductor's window-close log.
+[[nodiscard]] std::vector<std::uint8_t> encode_grant_done(const GrantDone& done);
+[[nodiscard]] GrantDone decode_grant_done(std::span<const std::uint8_t> body);
+[[nodiscard]] std::vector<net::TraceClose> decode_finish_log(
+    std::span<const std::uint8_t> body);
 
 // Conductor entry: forks/execs `processes` node children, runs the lockstep
 // scenario, scores, and reaps them. Throws std::runtime_error if a child

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/pvr_speaker.h"
-#include "engine/verification_engine.h"
 #include "net/simulator.h"
 #include "scenario/world.h"
 
@@ -111,13 +110,16 @@ ScenarioReport replay_trace(const ScenarioSpec& spec,
 
   clock.run();
 
-  // Offline verification over the planned rounds at the requested worker
-  // count — the engine's evidence is byte-identical at any (DESIGN.md §9).
-  engine::VerificationEngine engine({.workers = workers},
-                                    &world.verify_context());
+  // The recorded window-close log, flushed once at the requested worker
+  // count: every node applies its findings in close order, as in the
+  // recorded run, and the engine's evidence is byte-identical at any worker
+  // count (DESIGN.md §9).
+  VerifyPipeline verify(world, workers);
+  verify.step(trace.closes);
+  verify.harvest();
   ScenarioReport report;
-  report.verify_failures = world.verify_offline(engine).failed_rounds;
-  report.drain_batches = 1;
+  report.verify_failures = verify.totals().failed_rounds;
+  report.drain_batches = verify.totals().batches;
   world.score(report);
 
   // Prover counters and wire accounting come from the recorded run — the

@@ -6,9 +6,10 @@
 // is a sink (every message a node would emit is already in the trace as a
 // delivery). Verifier-side protocol state is a pure function of delivery
 // order, so the replayed evidence logs are byte-identical to the recorded
-// run's; verifying them through the engine at ANY worker count and scoring
-// with the shared scenario::score_evidence pass reproduces the original
-// ScenarioReport::fingerprint() exactly (DESIGN.md §13).
+// run's; verifying them in the trace's window-close order through the
+// engine at ANY worker count and scoring with the shared
+// scenario::score_evidence pass reproduces the original
+// ScenarioReport::fingerprint() and evidence_digest exactly (DESIGN.md §13).
 //
 // Prover-side dynamic state (round windows, coalescing timers) is NOT
 // replayed: the prover's outputs are already in the trace, and its
@@ -25,8 +26,9 @@
 namespace pvr::scenario {
 
 // Replays `trace` (recorded by run_scenario(spec, &trace) — or merged from
-// multiprocess shards of the same spec) and re-verifies it offline with
-// `workers` engine workers. Throws like run_scenario on a bad spec, and
+// multiprocess shards of the same spec) and re-verifies it, flushing its
+// window-close log once, with `workers` engine workers. Throws like
+// run_scenario on a bad spec, and
 // std::invalid_argument when the trace's identity (scenario name, seed)
 // contradicts the spec.
 [[nodiscard]] ScenarioReport replay_trace(const ScenarioSpec& spec,

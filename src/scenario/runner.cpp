@@ -4,14 +4,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "core/evidence.h"
 #include "core/pvr_speaker.h"
-#include "engine/verification_engine.h"
 #include "net/simulator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -86,6 +83,10 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     throw std::invalid_argument(
         "run_scenario: online mode needs a nonzero drain_interval_us");
   }
+  if (!spec.pipelined) {
+    throw std::invalid_argument(
+        "run_scenario: the synchronous drain schedule is gone");
+  }
   ScenarioReport report;
 
   // Crypto profile baseline: the report's rsa_verifies/sig_cache_hits are
@@ -95,10 +96,6 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
   const std::uint64_t rsa_verifies_before = hot.crypto_rsa_verifies.value();
   const std::uint64_t cache_hits_before = hot.crypto_sig_cache_hits.value();
   const std::uint64_t world_hits_before = hot.crypto_world_cache_hits.value();
-  // Settle latencies aggregate through a local histogram so the report
-  // carries them in BOTH obs build flavors (the global scenario.settle_us
-  // histogram additionally feeds obs snapshots when hooks are compiled in).
-  obs::Histogram settle_hist;
 
   // 1–3. The deterministic world plan: topology, neighborhoods, adversary,
   // keys, link latencies, and the jittered round schedule — shared with the
@@ -142,174 +139,26 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     }
   }
 
-  // 6. Engine-backed verification. Offline: run to quiescence, submit every
-  // round, one drain. Online (the paper's deployment model): each prover's
-  // window-close event queues its rounds; once a round's settle horizon has
-  // passed, a periodic in-simulation drain submits it to the long-lived
-  // engine, folds the findings back, and GCs the settled state — so memory
-  // tracks concurrently-open windows, not trace length. Either way the
-  // engine drains with rethrow_errors = false: a round whose closure threw
-  // is COUNTED (report.verify_failures, gated nonzero-fatal by the bench
-  // and CI) instead of silently discarded like the pre-PR-5
-  // `(void)engine.drain()` — or, worse, aborting the whole trace.
-  engine::VerificationEngine engine({.workers = spec.workers},
-                                    &world.verify_context());
-  const bool pipelined = spec.online && spec.pipelined;
-  double verify_blocked_ms = 0;  // sim-thread wall time spent on verification
-  double overlapped_ms = 0;      // fold time that overlapped the simulation
-  double fold_window_ms = 0;     // total async fold window across batches
-
-  struct SettledEntry {
-    net::SimTime settled_at = 0;
-    std::size_t hood = 0;
-    core::ProtocolId id;
-  };
-  std::deque<SettledEntry> pending;  // window-close order == settle order
-  // The two-slot batch buffer (DESIGN.md §12): `batch` is the slot being
-  // gathered and sealed this tick; `inflight` is the previous batch, owned
-  // by the engine's workers until the next tick harvests it. Entries are
-  // immutable after sealing — the engine verifies over the shared_ptr
-  // RoundState snapshots defer_finalize_checks took at submit time, so the
-  // simulator mutating live node state in between cannot race the checks.
-  std::vector<SettledEntry> batch;
-  std::vector<SettledEntry> inflight;
-  bool inflight_active = false;
-
-  // Rounds left to harvest per (hood, epoch): when the count hits zero,
-  // every round of the epoch is past its settle horizon AND harvested, so
-  // the epoch's seen-root dedup digests retire (gc_epoch_roots).
-  std::map<std::pair<std::size_t, std::uint64_t>, std::uint64_t>
-      epoch_rounds_left;
-  if (spec.online) {
-    for (const RoundArrival& arrival : plan.arrivals) {
-      epoch_rounds_left[{arrival.neighborhood, arrival.epoch}] += 1;
-    }
+  // 6. Verification through the window-close queue (world.h, DESIGN.md
+  // §10): online, a periodic drain tick verifies every round whose settle
+  // horizon has passed, so memory tracks concurrently-open windows, not
+  // trace length; offline, the tail barrier below is the only flush.
+  SettleOrder order(settle_horizon_for(spec, plan));
+  VerifyPipeline verify(world, spec.workers);
+  report.settle_horizon_us = order.horizon();
+  for (std::size_t h = 0; h < hoods.size(); ++h) {
+    watch_window_closes(*world.hood(h).prover, transport,
+                        [&order, record](const net::TraceClose& round) {
+                          order.close(round);
+                          if (record != nullptr) record->closes.push_back(round);
+                        });
   }
-
-  const net::SimTime settle_horizon =
-      spec.settle_horizon_us != 0
-          ? spec.settle_horizon_us
-          : settle_horizon_for(spec, *plan.adversary, [&] {
-              std::size_t most = 0;
-              for (const Neighborhood& hood : hoods) {
-                most = std::max(most, hood.providers.size() + 1);
-              }
-              return most;
-            }());
-
-  const auto consume_report = [&](const engine::EngineReport& drained) {
-    report.verify_failures += drained.failed_rounds;
-    report.drain_batches += 1;
-    overlapped_ms += drained.overlapped_ms;
-    fold_window_ms += drained.verify_wall_ms;
-  };
-
-  // Harvest the in-flight batch: collect() applies its folded findings to
-  // the nodes (one tick after submission), then the settled state is GC'd
-  // and fully-harvested epochs retire their root-dedup digests.
-  const auto harvest = [&] {
-    if (!inflight_active) return;
-    const double t0 = now_ms();
-    const obs::TraceSpan span("scenario.harvest", "scenario");
-    consume_report(engine.collect(/*rethrow_errors=*/false));
-    for (const SettledEntry& entry : inflight) {
-      const WorldRuntime::Hood& nodes = world.hood(entry.hood);
-      for (core::PvrNode* verifier : nodes.verifiers) {
-        (void)verifier->gc_finalized(entry.id);
-      }
-      (void)nodes.prover->gc_finalized(entry.id);
-      const auto left = epoch_rounds_left.find({entry.hood, entry.id.epoch});
-      if (left != epoch_rounds_left.end() && --left->second == 0) {
-        // The settle horizon bounds gossip chains AND the adversary's
-        // replay lag, so with every round of this (hood, epoch) harvested,
-        // no message referencing the epoch's roots can still arrive — a
-        // late replay after this retirement would miss the dedup and
-        // re-create round state, which the fingerprint-parity gates would
-        // catch (same empirical enforcement as the horizon itself).
-        const bgp::AsNumber prover = hoods[entry.hood].prover;
-        for (core::PvrNode* verifier : nodes.verifiers) {
-          (void)verifier->gc_epoch_roots(prover, entry.id.epoch);
-        }
-        (void)nodes.prover->gc_epoch_roots(prover, entry.id.epoch);
-        epoch_rounds_left.erase(left);
-      }
-    }
-    inflight.clear();
-    inflight_active = false;
-    verify_blocked_ms += now_ms() - t0;
-  };
-
-  // Gather every settled round and seal them as the next batch: submit all
-  // verifier rounds, then begin_drain hands the batch to the workers
-  // WITHOUT blocking (pipelined mode harvests it next tick).
-  const auto submit_settled = [&](bool flush_all) {
-    batch.clear();
-    while (!pending.empty() &&
-           (flush_all || pending.front().settled_at <= sim.now())) {
-      batch.push_back(pending.front());
-      pending.pop_front();
-    }
-    if (batch.empty()) return;
-    const double t0 = now_ms();
-    const obs::TraceSpan flush_span("scenario.drain_flush", "scenario");
-    obs::TraceWriter& tracer = obs::TraceWriter::global();
-    for (const SettledEntry& entry : batch) {
-      world.submit_round(engine, entry.hood, entry.id);
-      // Settle latency in SIM time, recorded at SUBMISSION: the round's
-      // window closed at settled_at - settle_horizon and this tick is when
-      // its verification was sealed. Identical at any worker count (the
-      // drain schedule is simulated) and identical pipelined or not — the
-      // harvest landing one tick later must not widen the gated quantiles.
-      const net::SimTime close_at = entry.settled_at - settle_horizon;
-      const std::uint64_t latency =
-          static_cast<std::uint64_t>(sim.now() - close_at);
-      settle_hist.record(latency);
-      PVR_OBS_RECORD(scenario_settle_us, latency);
-      if (tracer.active()) {
-        tracer.sim_span("round.settle", entry.hood,
-                        static_cast<std::uint64_t>(close_at),
-                        static_cast<std::uint64_t>(sim.now()));
-      }
-    }
-    engine.begin_drain();
-    inflight.swap(batch);
-    inflight_active = true;
-    verify_blocked_ms += now_ms() - t0;
-  };
-
   if (spec.online) {
-    report.settle_horizon_us = settle_horizon;
-    for (std::size_t h = 0; h < hoods.size(); ++h) {
-      const bgp::AsNumber prover = hoods[h].prover;
-      world.hood(h).prover->set_window_close_handler(
-          [&sim, &pending, settle_horizon, h, prover](
-              std::uint64_t epoch, const std::vector<bgp::Ipv4Prefix>& prefixes) {
-            const net::SimTime settled_at = sim.now() + settle_horizon;
-            for (const bgp::Ipv4Prefix& prefix : prefixes) {
-              pending.push_back(SettledEntry{
-                  .settled_at = settled_at,
-                  .hood = h,
-                  .id = core::ProtocolId{
-                      .prover = prover, .prefix = prefix, .epoch = epoch}});
-            }
-          });
-    }
-    if (pipelined) {
-      // Pipelined tick: harvest batch N (findings applied one tick late),
-      // then seal batch N+1 — the workers verify it while the simulator
-      // advances toward the next tick.
-      sim.schedule_periodic(spec.drain_interval_us, [&] {
-        harvest();
-        submit_settled(false);
-      });
-    } else {
-      // Synchronous A/B schedule (pre-pipelining): seal and immediately
-      // harvest inside one tick — blocking engine.drain semantics.
-      sim.schedule_periodic(spec.drain_interval_us, [&] {
-        submit_settled(false);
-        harvest();
-      });
-    }
+    // Harvest batch N, seal batch N+1: the workers verify it while the
+    // simulator advances toward the next tick.
+    sim.schedule_periodic(spec.drain_interval_us, [&] {
+      verify.step(order.settle(sim.now(), /*flush=*/false));
+    });
   }
 
   // Distributed-parity baseline (DESIGN.md §14): everything from here to the
@@ -327,27 +176,23 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     sim.run();
   }
   // Drain work ran interleaved on this thread; subtract the blocked share.
-  report.sim_ms = now_ms() - t_sim - verify_blocked_ms;
+  report.sim_ms = now_ms() - t_sim - verify.totals().blocked_ms;
 
-  if (spec.online) {
-    // Tail barrier: harvest whatever the final tick left in flight, then
-    // flush the rounds whose settle horizon outlived the trace (plus any
-    // final partial batch) and harvest those too. The simulator is
-    // quiescent, so these submit against exactly the state the offline
-    // path would have seen — after this barrier, online == offline.
-    report.harvest_pending_at_end = inflight_active;
-    harvest();
-    submit_settled(true);
-    harvest();
-  } else {
-    const double t_verify = now_ms();
-    consume_report(world.verify_offline(engine));
-    verify_blocked_ms += now_ms() - t_verify;
-  }
+  // Tail barrier: harvest whatever the final tick left in flight, then
+  // flush the rounds whose settle horizon outlived the trace and harvest
+  // those too. The simulator is quiescent, so every round is verified
+  // against its final state — after this barrier, online == offline.
+  report.harvest_pending_at_end = verify.in_flight();
+  verify.step(order.settle(sim.now(), /*flush=*/true));
+  verify.harvest();
+  const VerifyPipeline::Totals& totals = verify.totals();
   report.wall_ms = now_ms() - t_sim;
-  report.verify_ms = verify_blocked_ms + overlapped_ms;
+  report.verify_failures = totals.failed_rounds;
+  report.drain_batches = totals.batches;
+  report.verify_ms = totals.blocked_ms + totals.overlapped_ms;
   report.pipeline_overlap_ratio =
-      fold_window_ms > 0 ? overlapped_ms / fold_window_ms : 0.0;
+      totals.fold_window_ms > 0 ? totals.overlapped_ms / totals.fold_window_ms
+                                : 0.0;
 
   // 7. Score: the canonical pass shared with replay and the multiprocess
   // conductor (world.h) — identical evidence logs in identical order must
@@ -381,8 +226,8 @@ ScenarioReport run_scenario(const ScenarioSpec& spec,
     record->provers = provers;
   }
 
-  report.p50_settle_us = settle_hist.quantile(0.5);
-  report.p99_settle_us = settle_hist.quantile(0.99);
+  report.p50_settle_us = order.latency().quantile(0.5);
+  report.p99_settle_us = order.latency().quantile(0.99);
   report.rsa_verifies = hot.crypto_rsa_verifies.value() - rsa_verifies_before;
   report.sig_cache_hits =
       hot.crypto_sig_cache_hits.value() - cache_hits_before;

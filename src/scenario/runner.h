@@ -9,14 +9,16 @@
 // Figure-1 neighborhoods carved out of it, keys, links, jittered round
 // traffic), build its PvrNodes with a WorldRuntime and hand them to the
 // simulator, arm the adversary (prover misbehavior + wire interceptor),
-// schedule the traffic, verify every round through the parallel engine —
-// either offline (run to quiescence, then one drain) or online
-// (ScenarioSpec::online: rounds stream into a long-lived engine as their
-// windows close, drained every drain_interval_us of sim time, settled
-// state GC'd) — and score the outcome. Everything except the wall-clock and drain-schedule
-// fields of the report is a pure function of (spec) — fingerprint() is the
-// byte-identity the determinism gates compare across worker counts, drain
-// intervals, and online vs offline mode.
+// schedule the traffic, verify every round through the window-close queue
+// (world.h) and the parallel engine, and score the outcome. Rounds
+// reach the engine in window-close order in every mode: online
+// (ScenarioSpec::online) they stream in as their windows settle, drained
+// every drain_interval_us of sim time with settled state GC'd; offline the
+// same queue is flushed once at quiescence. Everything except the
+// wall-clock and drain-schedule fields of the report is a pure function of
+// (spec) — fingerprint() and evidence_digest are the byte-identities the
+// determinism gates compare across worker counts, drain intervals, online
+// vs offline mode, trace replay and the multiprocess deployment.
 #pragma once
 
 #include <cstdint>
@@ -51,30 +53,20 @@ struct ScenarioSpec {
   std::size_t workers = 8;
   std::size_t key_bits = 512;
   std::uint32_t max_len = 16;
-  // Online verification (the paper's deployment model): rounds are
-  // submitted to a long-lived engine as their windows close and the engine
-  // drains every drain_interval_us of SIMULATED time, with settled rounds
-  // GC'd so memory is bounded by concurrently-open windows instead of
-  // trace length. false = legacy offline mode (verify after global
-  // quiescence). The report fingerprint is byte-identical in both modes
-  // at any worker count and any drain interval (DESIGN.md §10).
+  // Online verification (the paper's deployment model): every
+  // drain_interval_us of SIMULATED time a drain tick harvests the previous
+  // batch and seals the rounds whose settle horizon has passed
+  // (DESIGN.md §10, §12), with settled rounds GC'd so memory is bounded by
+  // concurrently-open windows instead of trace length. false = no ticks:
+  // the window-close queue is flushed once at quiescence. The fingerprint
+  // and evidence_digest are byte-identical in both modes at any worker
+  // count and any drain interval.
   bool online = false;
   net::SimTime drain_interval_us = 25'000;
-  // Pipelined online verification (DESIGN.md §12, the default): each drain
-  // tick first HARVESTS the previous batch's folded findings (applying
-  // them one tick late) and then seals the next batch with a non-blocking
-  // begin_drain, so engine workers verify batch N while the simulator
-  // advances toward batch N+1's tick. false = the pre-PR-7 synchronous
-  // schedule (submit + blocking drain inside one tick) — kept as the A/B
-  // leg the interleaving stress tests compare evidence logs against.
-  // Ignored offline. The fingerprint is byte-identical either way.
+  // Must stay true: the synchronous drain schedule it once switched to is
+  // gone, and run_scenario rejects false with std::invalid_argument. Kept
+  // because existing harnesses assign it.
   bool pipelined = true;
-  // How long after a window closes the runner waits before treating the
-  // window's rounds as settled (no message referencing them can still be
-  // in flight). 0 = derive a conservative bound from the link latency
-  // ceiling, gossip hop budget, neighborhood size, and the adversary's
-  // declared wire slack. Only consulted in online mode.
-  net::SimTime settle_horizon_us = 0;
   // World-level verified-signature cache (core::VerifyContext with
   // cache_verdicts = true, shared by every node and engine worker): a
   // (signing input, signature) pair already verified anywhere in the world
@@ -122,7 +114,7 @@ struct ScenarioReport {
   bool online = false;
   // Whether the trace ended with a sealed batch still in flight (the tail
   // barrier then harvested it) — the state the final-flush parity test
-  // forces. Always false offline / non-pipelined.
+  // forces. Always false offline.
   bool harvest_pending_at_end = false;
   // Root-dedup footprint (epoch-keyed seen-root GC): the highest live
   // digest count any node reached, and the epochs still holding digests
@@ -131,9 +123,8 @@ struct ScenarioReport {
   // open epochs instead.
   std::uint64_t peak_root_digests = 0;
   std::uint64_t final_root_epochs = 0;
-  // The settle horizon the online run used (spec override or the derived
-  // default; 0 offline), so harnesses can compute memory bounds from the
-  // same number the runner actually waited out.
+  // The settle horizon the run derived (settle_horizon_for), so harnesses
+  // can compute memory bounds from the same number online ticks wait out.
   net::SimTime settle_horizon_us = 0;
   // Wire accounting (per channel group).
   std::uint64_t bytes_input = 0;
@@ -142,12 +133,12 @@ struct ScenarioReport {
   std::uint64_t bytes_reveal_export = 0;
   std::uint64_t bytes_total = 0;         // all pvr.* channels
   std::uint64_t gossip_messages = 0;
-  // Settle latency (online mode): sim-time µs from a round's window close
-  // to the drain that verified and GC'd it, aggregated over every round
-  // through a log-bucket histogram (quantiles are bucket upper edges).
-  // Deterministic at any worker count, but a function of the drain
-  // schedule — like drain_batches, reported and regression-gated (rule 7)
-  // yet excluded from fingerprint(). 0 in offline mode.
+  // Settle latency: sim-time µs from a round's window close to the batch
+  // that verified and GC'd it (offline: the flush at quiescence),
+  // aggregated over every round through a log-bucket histogram (quantiles
+  // are bucket upper edges). Deterministic at any worker count, but a
+  // function of the drain schedule — like drain_batches, reported and
+  // regression-gated (rule 7) yet excluded from fingerprint().
   std::uint64_t p50_settle_us = 0;
   std::uint64_t p99_settle_us = 0;
   // Crypto profile for this run (global obs counter deltas): RSA verify
@@ -162,11 +153,10 @@ struct ScenarioReport {
   std::uint64_t world_cache_hits = 0;
   // SHA-256 (hex) over every node's evidence log in node order — a strict
   // superset of the fingerprint's evidence COUNT: it pins the APPLICATION
-  // ORDER, which the two-slot pipeline must preserve batch by batch.
-  // Deterministic per verification schedule (identical pipelined vs
-  // synchronous at the same drain schedule — the stress test's assertion)
-  // but mode-dependent (offline applies in arrival order, online in settle
-  // order), so excluded from fingerprint().
+  // ORDER, which is window-close order in every deployment. One invariant:
+  // offline == online at any drain interval and worker count == replayed
+  // == multiprocess. Kept out of fingerprint() only because it is a digest
+  // itself, compared directly by the parity gates.
   std::string evidence_digest;
   // Wall clock — excluded from fingerprint(). sim_ms is the simulator's
   // own wall time (drain work subtracted), verify_ms the total

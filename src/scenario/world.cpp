@@ -1,6 +1,7 @@
 #include "scenario/world.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -8,6 +9,7 @@
 #include "core/bundle_aggregation.h"
 #include "crypto/sha256.h"
 #include "net/simulator.h"
+#include "obs/trace.h"
 
 namespace pvr::scenario {
 
@@ -112,6 +114,12 @@ void append_covered_rounds(const core::Evidence& item,
   return static_cast<std::size_t>(it - plan.participants.begin());
 }
 
+[[nodiscard]] double now_ms() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace
 
 bgp::Route provider_route(const bgp::Ipv4Prefix& prefix,
@@ -142,8 +150,12 @@ bgp::Route provider_route(const bgp::Ipv4Prefix& prefix,
 // round before its last message and breaks the online==offline fingerprint
 // parity the tests and bench gate on.
 net::SimTime settle_horizon_for(const ScenarioSpec& spec,
-                                const AdversaryStrategy& adversary,
-                                std::size_t max_verifiers) {
+                                const WorldPlan& plan) {
+  std::size_t max_verifiers = 0;
+  for (const Neighborhood& hood : plan.hoods) {
+    max_verifiers = std::max(max_verifiers, hood.providers.size() + 1);
+  }
+  const AdversaryStrategy& adversary = *plan.adversary;
   const net::SimTime per_hop = kMaxScenarioLatency + adversary.max_extra_delay();
   const net::SimTime chain =
       static_cast<net::SimTime>(spec.gossip_hop_budget) + 1;
@@ -367,26 +379,6 @@ core::PvrNode* WorldRuntime::find(bgp::AsNumber asn) const {
   return index < by_participant_.size() ? by_participant_[index] : nullptr;
 }
 
-void WorldRuntime::submit_round(engine::VerificationEngine& engine,
-                                std::size_t hood,
-                                const core::ProtocolId& id) const {
-  for (core::PvrNode* verifier : hoods_[hood].verifiers) {
-    if (verifier != nullptr) (void)engine.submit_node_round(*verifier, id);
-  }
-}
-
-engine::EngineReport WorldRuntime::verify_offline(
-    engine::VerificationEngine& engine) const {
-  for (const RoundArrival& arrival : plan_->arrivals) {
-    const core::ProtocolId id{
-        .prover = plan_->hoods[arrival.neighborhood].prover,
-        .prefix = arrival.prefix,
-        .epoch = arrival.epoch};
-    submit_round(engine, arrival.neighborhood, id);
-  }
-  return engine.drain(/*rethrow_errors=*/false);
-}
-
 std::vector<net::TraceProverMeta> WorldRuntime::prover_meta() const {
   std::vector<net::TraceProverMeta> out;
   for (const Hood& hood : hoods_) {
@@ -406,6 +398,118 @@ void WorldRuntime::score(ScenarioReport& report) const {
                    return hoods_[h].verifiers[v]->evidence();
                  },
                  report);
+}
+
+void watch_window_closes(core::PvrNode& prover, const net::Transport& clock,
+                         std::function<void(const net::TraceClose&)> sink) {
+  prover.set_window_close_handler(
+      [&clock, sink = std::move(sink), asn = prover.asn()](
+          std::uint64_t epoch, const std::vector<bgp::Ipv4Prefix>& prefixes) {
+        for (const bgp::Ipv4Prefix& prefix : prefixes) {
+          sink(net::TraceClose{.at = clock.now(),
+                               .prover = asn,
+                               .epoch = epoch,
+                               .prefix_address = prefix.address(),
+                               .prefix_length = prefix.length()});
+        }
+      });
+}
+
+std::vector<net::TraceClose> SettleOrder::settle(net::SimTime now,
+                                                 bool flush) {
+  std::vector<net::TraceClose> batch;
+  while (!pending_.empty() &&
+         (flush || pending_.front().at + horizon_ <= now)) {
+    batch.push_back(pending_.front());
+    pending_.pop_front();
+  }
+  obs::TraceWriter& tracer = obs::TraceWriter::global();
+  for (const net::TraceClose& round : batch) {
+    const std::uint64_t latency = static_cast<std::uint64_t>(now - round.at);
+    latency_.record(latency);
+    PVR_OBS_RECORD(scenario_settle_us, latency);
+    if (tracer.active()) {
+      tracer.sim_span("round.settle", round.prover,
+                      static_cast<std::uint64_t>(round.at),
+                      static_cast<std::uint64_t>(now));
+    }
+  }
+  return batch;
+}
+
+VerifyPipeline::VerifyPipeline(const WorldRuntime& world, std::size_t workers)
+    : world_(&world), engine_({.workers = workers}, &world.verify_context()) {
+  for (const RoundArrival& arrival : world.plan().arrivals) {
+    epoch_rounds_left_[{arrival.neighborhood, arrival.epoch}] += 1;
+  }
+}
+
+void VerifyPipeline::step(std::span<const net::TraceClose> batch) {
+  harvest();
+  if (batch.empty()) return;
+  const double t0 = now_ms();
+  const obs::TraceSpan span("scenario.drain_flush", "scenario");
+  const std::vector<Neighborhood>& hoods = world_->plan().hoods;
+  std::vector<Round> rounds;  // every close mapped before any is submitted
+  rounds.reserve(batch.size());
+  for (const net::TraceClose& close : batch) {
+    std::size_t hood = 0;
+    while (hood < hoods.size() && hoods[hood].prover != close.prover) ++hood;
+    if (hood == hoods.size()) {
+      throw std::invalid_argument("VerifyPipeline: close names no prover");
+    }
+    rounds.push_back(Round{
+        .hood = hood,
+        .id = core::ProtocolId{
+            .prover = close.prover,
+            .prefix = bgp::Ipv4Prefix(close.prefix_address, close.prefix_length),
+            .epoch = close.epoch}});
+  }
+  for (const Round& round : rounds) {
+    for (core::PvrNode* verifier : world_->hood(round.hood).verifiers) {
+      if (verifier != nullptr) (void)engine_.submit_node_round(*verifier, round.id);
+    }
+  }
+  engine_.begin_drain();
+  inflight_ = std::move(rounds);
+  totals_.blocked_ms += now_ms() - t0;
+}
+
+void VerifyPipeline::harvest() {
+  if (!engine_.has_pending()) return;
+  const double t0 = now_ms();
+  const obs::TraceSpan span("scenario.harvest", "scenario");
+  const engine::EngineReport drained = engine_.collect(/*rethrow_errors=*/false);
+  totals_.failed_rounds += drained.failed_rounds;
+  totals_.batches += 1;
+  totals_.overlapped_ms += drained.overlapped_ms;
+  totals_.fold_window_ms += drained.verify_wall_ms;
+  for (const Round& round : inflight_) {
+    const WorldRuntime::Hood& nodes = world_->hood(round.hood);
+    for (core::PvrNode* verifier : nodes.verifiers) {
+      if (verifier != nullptr) (void)verifier->gc_finalized(round.id);
+    }
+    if (nodes.prover != nullptr) (void)nodes.prover->gc_finalized(round.id);
+    const auto left = epoch_rounds_left_.find({round.hood, round.id.epoch});
+    if (left == epoch_rounds_left_.end() || --left->second != 0) continue;
+    // The settle horizon bounds gossip chains AND the adversary's replay
+    // lag, so with every round of this (hood, epoch) harvested, no message
+    // referencing the epoch's roots can still arrive — a late replay after
+    // this retirement would miss the dedup and re-create round state,
+    // which the fingerprint-parity gates would catch (same empirical
+    // enforcement as the horizon itself).
+    for (core::PvrNode* verifier : nodes.verifiers) {
+      if (verifier != nullptr) {
+        (void)verifier->gc_epoch_roots(round.id.prover, round.id.epoch);
+      }
+    }
+    if (nodes.prover != nullptr) {
+      (void)nodes.prover->gc_epoch_roots(round.id.prover, round.id.epoch);
+    }
+    epoch_rounds_left_.erase(left);
+  }
+  inflight_.clear();
+  totals_.blocked_ms += now_ms() - t0;
 }
 
 void fill_byte_accounting(const net::SimStats& stats, ScenarioReport& report) {

@@ -13,22 +13,26 @@
 //
 // WorldRuntime is the single place a plan becomes PvrNodes: it owns the
 // world VerifyContext, builds every node (or a node process's owned
-// shard), submits verifier rounds to an engine, and scores the evidence.
+// shard), and scores the evidence; the window-close queue verifies them.
 // The simulator run, trace replay, and the lockstep node processes differ
 // only in which message plane drives the nodes it built.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/pvr_speaker.h"
 #include "core/verify_context.h"
 #include "engine/verification_engine.h"
 #include "net/message_trace.h"
+#include "obs/metrics.h"
 #include "scenario/runner.h"
 
 namespace pvr::net {
@@ -92,10 +96,10 @@ struct WorldPlan {
                                         bgp::AsNumber provider,
                                         std::size_t length);
 
-// Conservative settle-horizon bound (see the runner's derivation comment).
+// Conservative bound on how long after its window closes a round of
+// `plan` can still be referenced by an in-flight message (DESIGN.md §10).
 [[nodiscard]] net::SimTime settle_horizon_for(const ScenarioSpec& spec,
-                                              const AdversaryStrategy& adversary,
-                                              std::size_t max_verifiers);
+                                              const WorldPlan& plan);
 
 // Evidence accessor: the log of hoods[hood].verifiers()[verifier_index],
 // however the caller stores it (live node, replayed node, or evidence
@@ -163,12 +167,7 @@ class WorldRuntime {
   // The node for `asn`, or nullptr when it was not built here.
   [[nodiscard]] core::PvrNode* find(bgp::AsNumber asn) const;
 
-  // Submits round `id` of hoods[hood] for every verifier built here.
-  void submit_round(engine::VerificationEngine& engine, std::size_t hood,
-                    const core::ProtocolId& id) const;
-  // Offline verification: submits every planned round, in arrival order,
-  // then drains once without rethrowing (failures are counted).
-  engine::EngineReport verify_offline(engine::VerificationEngine& engine) const;
+  [[nodiscard]] const WorldPlan& plan() const noexcept { return *plan_; }
 
   // The counters of every prover built here, in hood order.
   [[nodiscard]] std::vector<net::TraceProverMeta> prover_meta() const;
@@ -183,6 +182,90 @@ class WorldRuntime {
   std::vector<core::PvrNode*> nodes_;
   std::vector<core::PvrNode*> by_participant_;  // plan.participants order
   std::vector<Hood> hoods_;
+};
+
+// The window-close queue (DESIGN.md §10, §12). A prover's window close is
+// the only way a round reaches the engine, in every deployment. The order
+// half belongs to whoever holds the clock (the runner, or the multiprocess
+// conductor); the verify half to whoever holds the nodes (the runner, trace
+// replay, a node process). Offline is the queue flushed once at
+// quiescence, and replay and the node processes flush the run's
+// window-close log, so every node applies its findings in close order.
+
+// Routes `prover`'s window-close events to `sink`, one per round.
+void watch_window_closes(core::PvrNode& prover, const net::Transport& clock,
+                         std::function<void(const net::TraceClose&)> sink);
+
+// The order half: close events in, settled batches out, in close order.
+class SettleOrder {
+ public:
+  // A round settles `horizon` after its window closed (settle_horizon_for).
+  explicit SettleOrder(net::SimTime horizon) noexcept : horizon_(horizon) {}
+
+  // Closes arrive in time order, so the queue is sorted by settle time.
+  void close(const net::TraceClose& round) { pending_.push_back(round); }
+  // Pops every round settled by `now` (every round when `flush`) and
+  // records its settle latency in latency() and scenario.settle_us — at
+  // sealing, so harvesting a tick later cannot widen the gated quantiles.
+  [[nodiscard]] std::vector<net::TraceClose> settle(net::SimTime now,
+                                                    bool flush);
+
+  [[nodiscard]] net::SimTime horizon() const noexcept { return horizon_; }
+  // Local, so reports carry the quantiles in both obs build flavors.
+  [[nodiscard]] const obs::Histogram& latency() const noexcept {
+    return latency_;
+  }
+
+ private:
+  net::SimTime horizon_;
+  std::deque<net::TraceClose> pending_;
+  obs::Histogram latency_;
+};
+
+// The verify half, over the verifiers `world` built (borrowed; it must
+// outlive the pipeline), on an engine of `workers` workers. A sealed batch
+// checks the RoundState snapshots taken at submission, so the simulator
+// mutating live node state before the harvest cannot race the checks.
+class VerifyPipeline {
+ public:
+  VerifyPipeline(const WorldRuntime& world, std::size_t workers);
+
+  // One drain tick: harvest() the batch in flight, then submit `batch` for
+  // every local verifier and hand it to the engine's workers without
+  // blocking (an empty batch seals nothing). Throws std::invalid_argument,
+  // submitting nothing, on a round of no planned prover or a bad prefix.
+  void step(std::span<const net::TraceClose> batch);
+  // Collects the batch in flight (findings applied in submission order),
+  // GCs its rounds on every local node, and retires the root-dedup digests
+  // of each (hood, epoch) whose planned rounds have all been harvested.
+  // No-op when nothing is in flight.
+  void harvest();
+
+  [[nodiscard]] bool in_flight() const noexcept { return engine_.has_pending(); }
+
+  struct Totals {  // summed over every harvested batch
+    std::uint64_t failed_rounds = 0;  // rounds whose checks threw
+    std::uint64_t batches = 0;
+    double overlapped_ms = 0;   // fold time that overlapped the caller
+    double fold_window_ms = 0;  // begin_drain to last fold, per batch
+    double blocked_ms = 0;      // caller wall time inside step and harvest
+  };
+  [[nodiscard]] const Totals& totals() const noexcept { return totals_; }
+
+ private:
+  struct Round {
+    std::size_t hood = 0;
+    core::ProtocolId id;
+  };
+
+  const WorldRuntime* world_;
+  engine::VerificationEngine engine_;
+  std::vector<Round> inflight_;
+  // Rounds left to harvest per (hood, epoch); at zero the epoch's
+  // seen-root digests retire (PvrNode::gc_epoch_roots).
+  std::map<std::pair<std::size_t, std::uint64_t>, std::uint64_t>
+      epoch_rounds_left_;
+  Totals totals_;
 };
 
 // Byte accounting from a stats snapshot — the live simulator's, or the

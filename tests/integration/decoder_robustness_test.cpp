@@ -26,6 +26,7 @@
 #include "net/gossip.h"
 #include "net/message_trace.h"
 #include "obs/metrics.h"
+#include "scenario/multiprocess.h"
 
 namespace pvr {
 namespace {
@@ -283,7 +284,8 @@ TEST(DecoderAllocationTest, MetricsSnapshotCountsCannotForceAllocation) {
 TEST(DecoderAllocationTest, MessageTraceCountsCannotForceAllocation) {
   if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
   // A valid empty trace's header, then a huge entry count; and a valid
-  // empty trace whose prover count is replaced by a huge one.
+  // empty trace whose prover count, or window-close count, is replaced by
+  // a huge one.
   const std::vector<std::uint8_t> empty = net::MessageTrace{}.encode();
   const std::size_t header = 4 + 4 + 4 + 8 + 4;  // magic, version, "", seed, ""
   std::vector<std::uint8_t> entries(empty.begin(),
@@ -295,10 +297,69 @@ TEST(DecoderAllocationTest, MessageTraceCountsCannotForceAllocation) {
             CappedOutcome::kOutOfRange);
 
   std::vector<std::uint8_t> provers = empty;
-  ASSERT_GE(provers.size(), 8u);
-  provers[provers.size() - 5] = 1;  // prover count (last u64) = 2^32
+  ASSERT_GE(provers.size(), 16u);
+  provers[provers.size() - 13] = 1;  // prover count (next-to-last u64) = 2^32
   EXPECT_EQ(decode_under_cap([&] { (void)net::MessageTrace::decode(provers); }),
             CappedOutcome::kOutOfRange);
+
+  std::vector<std::uint8_t> closes = empty;
+  closes[closes.size() - 5] = 1;  // window-close count (last u64) = 2^32
+  EXPECT_EQ(decode_under_cap([&] { (void)net::MessageTrace::decode(closes); }),
+            CappedOutcome::kOutOfRange);
+}
+
+TEST(DecoderAllocationTest, LockstepDoneCountsCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // A kFrameDone body claiming 2^32 - 1 actions and holding none; and one
+  // with no actions claiming 2^40 window closes.
+  const std::vector<std::uint8_t> actions = {0xFF, 0xFF, 0xFF, 0xFF};
+  EXPECT_EQ(decode_under_cap(
+                [&] { (void)scenario::decode_grant_done(actions); }),
+            CappedOutcome::kOutOfRange);
+  const std::vector<std::uint8_t> closes = {0, 0, 0, 0, 0, 0, 1, 0,
+                                            0, 0, 0, 0};
+  EXPECT_EQ(decode_under_cap(
+                [&] { (void)scenario::decode_grant_done(closes); }),
+            CappedOutcome::kOutOfRange);
+
+  // An honest reply round-trips; an unknown action kind is rejected.
+  scenario::GrantDone done;
+  done.actions.push_back(scenario::GrantDone::Action{
+      .is_send = false, .at = 4000, .timer_id = 9});
+  done.closes.push_back(net::TraceClose{.at = 4000,
+                                        .prover = 7,
+                                        .epoch = 3,
+                                        .prefix_address = 0x0A000000,
+                                        .prefix_length = 8});
+  std::vector<std::uint8_t> body = scenario::encode_grant_done(done);
+  const scenario::GrantDone decoded = scenario::decode_grant_done(body);
+  ASSERT_EQ(decoded.actions.size(), 1u);
+  EXPECT_EQ(decoded.actions[0].timer_id, 9u);
+  ASSERT_EQ(decoded.closes.size(), 1u);
+  EXPECT_EQ(decoded.closes[0].prover, 7u);
+  EXPECT_EQ(decoded.closes[0].prefix_length, 8u);
+  body[4] = 9;  // the action's kind byte
+  EXPECT_THROW((void)scenario::decode_grant_done(body), std::invalid_argument);
+}
+
+TEST(DecoderAllocationTest, LockstepFinishLogCountCannotForceAllocation) {
+  if (!kAddressSpaceCapUsable) GTEST_SKIP() << "sanitizer build";
+  // A kFrameFinish body claiming 2^40 window closes and holding none.
+  const std::vector<std::uint8_t> count_only = {0, 0, 1, 0, 0, 0, 0, 0};
+  EXPECT_EQ(decode_under_cap([&] {
+              (void)scenario::decode_finish_log(count_only);
+            }),
+            CappedOutcome::kOutOfRange);
+  // A one-entry log with a trailing byte is not a finish body.
+  crypto::ByteWriter writer;
+  const std::vector<net::TraceClose> log = {net::TraceClose{
+      .at = 5, .prover = 7, .epoch = 1, .prefix_address = 0,
+      .prefix_length = 0}};
+  net::encode_closes(writer, log);
+  std::vector<std::uint8_t> body = writer.take();
+  ASSERT_EQ(scenario::decode_finish_log(body).size(), 1u);
+  body.push_back(0);
+  EXPECT_THROW((void)scenario::decode_finish_log(body), std::invalid_argument);
 }
 
 TEST(DecoderAllocationTest, AggregatedBundlePrefixCountCannotForceAllocation) {

@@ -1,16 +1,20 @@
 // The lockstep deployment's wire framing: the canonical message-body codec
 // (chunking at the 64 KiB boundary, malformed-input rejection), FrameConn's
 // write path (append + flush) for multi-chunk bodies, reassembly across
-// partial reads, and the dead-peer contracts (a torn trailing frame is
-// discarded; a zero-length frame, or one longer than kMaxFrameBytes,
-// reports the connection dead).
+// partial reads, chunked transfers, and the dead-peer contracts (a torn
+// trailing frame is discarded; a zero-length frame, one longer than
+// kMaxFrameBytes, or a chunked transfer past its ceiling reports the
+// connection dead).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/frame.h"
@@ -69,14 +73,15 @@ TEST(FrameConnTest, ReassemblesFramesAcrossPartialReads) {
   FrameConn reader(fds[0]);
 
   const std::vector<std::uint8_t> body = patterned(300);
-  std::vector<std::uint8_t> wire;
+  // Sized up front, then filled: [u32 BE total][type][body].
+  std::vector<std::uint8_t> wire(5 + body.size());
   const std::uint32_t total = static_cast<std::uint32_t>(1 + body.size());
-  wire.push_back(static_cast<std::uint8_t>(total >> 24));
-  wire.push_back(static_cast<std::uint8_t>(total >> 16));
-  wire.push_back(static_cast<std::uint8_t>(total >> 8));
-  wire.push_back(static_cast<std::uint8_t>(total));
-  wire.push_back(kFrameMessage);
-  wire.insert(wire.end(), body.begin(), body.end());
+  wire[0] = static_cast<std::uint8_t>(total >> 24);
+  wire[1] = static_cast<std::uint8_t>(total >> 16);
+  wire[2] = static_cast<std::uint8_t>(total >> 8);
+  wire[3] = static_cast<std::uint8_t>(total);
+  wire[4] = kFrameMessage;
+  std::copy(body.begin(), body.end(), wire.begin() + 5);
 
   std::vector<std::vector<std::uint8_t>> frames;
   const auto on_frame = [&](std::uint8_t type,
@@ -167,6 +172,74 @@ TEST(FrameConnTest, WritePathCarriesEveryChunkBoundaryInOrder) {
     EXPECT_EQ(received[i].payload, sent[i].payload)
         << "payload size " << sizes[i] << " corrupted or reordered";
   }
+}
+
+// A node's result travels as a chunked transfer: a body of more than two
+// chunks must arrive byte for byte through read_one_frame, and on the wire
+// no frame may carry more than kChunkBytes.
+TEST(FrameConnTest, ChunkedTransferReassemblesByteForByte) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameConn writer(fds[1]);
+  FrameConn reader(fds[0]);
+  const std::vector<std::uint8_t> body = patterned(2 * kChunkBytes + 12'345);
+
+  // The writer blocks until the reader drains the socket, so it runs on
+  // its own thread, as a node process runs beside the conductor.
+  bool flushed = false;
+  std::thread send([&] {
+    writer.append_chunked(kFrameResult, body);
+    flushed = writer.flush_all();
+  });
+  std::uint8_t type = 0;
+  std::vector<std::uint8_t> received;
+  const bool alive = reader.read_one_frame(type, received);
+  send.join();
+  ASSERT_TRUE(flushed);
+  ASSERT_TRUE(alive);
+  EXPECT_EQ(type, kFrameResult);
+  EXPECT_TRUE(received == body) << "chunked body corrupted or reordered";
+
+  // The same transfer, frame by frame: two full chunks, then the rest.
+  std::vector<std::pair<std::uint8_t, std::size_t>> frames;
+  writer.append_chunked(kFrameResult, body);
+  for (int i = 0; i < 100'000 && frames.size() < 3; ++i) {
+    ASSERT_TRUE(writer.flush());
+    ASSERT_TRUE(reader.read_frames(
+        [&](std::uint8_t frame_type, std::span<const std::uint8_t> data) {
+          frames.emplace_back(frame_type, data.size());
+        }));
+  }
+  const std::vector<std::pair<std::uint8_t, std::size_t>> expected = {
+      {kFrameChunk, kChunkBytes},
+      {kFrameChunk, kChunkBytes},
+      {kFrameResult, std::size_t{12'345}}};
+  EXPECT_EQ(frames, expected);
+}
+
+// A peer that keeps streaming kFrameChunk past the reader's ceiling is
+// broken: the reader closes the connection and reports it dead instead of
+// buffering without end.
+TEST(FrameConnTest, ChunkedTransferPastCeilingReportsPeerDead) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  FrameConn writer(fds[1]);
+  FrameConn reader(fds[0]);
+  const std::vector<std::uint8_t> body = patterned(3 * kChunkBytes + 1);
+
+  // The writer's flush ends either way: all bytes written, or the reader's
+  // close breaks the connection under it.
+  std::thread send([&] {
+    writer.append_chunked(kFrameResult, body);
+    (void)writer.flush_all();
+  });
+  std::uint8_t type = 0;
+  std::vector<std::uint8_t> received;
+  const bool alive = reader.read_one_frame(type, received, 2 * kChunkBytes);
+  send.join();
+  EXPECT_FALSE(alive) << "a transfer past the ceiling must report dead";
+  EXPECT_FALSE(reader.open()) << "the reader must close the connection";
+  EXPECT_TRUE(received.empty());
 }
 
 TEST(FrameConnTest, ZeroLengthFrameReportsPeerDead) {

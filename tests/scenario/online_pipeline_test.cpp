@@ -1,15 +1,19 @@
 // Online window-close verification pipeline (DESIGN.md §10): the same
 // ScenarioSpec verified ONLINE — rounds submitted to the long-lived engine
 // as their windows settle, drained every drain_interval_us of simulated
-// time, settled state GC'd — must produce a report fingerprint
-// byte-identical to the OFFLINE run at every drain interval and worker
+// time, settled state GC'd — must produce a report fingerprint AND
+// evidence_digest byte-identical to the OFFLINE run (the same window-close
+// queue flushed once at quiescence) at every drain interval and worker
 // count, and per-node memory must be bounded by concurrently-open windows
 // instead of trace length.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
+#include "scenario/adversary.h"
 #include "scenario/runner.h"
 
 namespace pvr::scenario {
@@ -38,17 +42,26 @@ namespace {
 
 // Drain intervals in collection-window units: every window (1), a drain
 // lagging several windows (7), and one so coarse most of the trace settles
-// between two drains (64). The fingerprint must not notice.
-class OnlineParityTest : public ::testing::TestWithParam<const char*> {};
+// between two drains (64). Neither the fingerprint nor the order-pinning
+// evidence_digest may notice.
+class OnlineParityTest : public ::testing::TestWithParam<std::string_view> {};
 
 TEST_P(OnlineParityTest, FingerprintMatchesOfflineAtEveryDrainScheduleAndWorkerCount) {
-  const std::string adversary = GetParam();
+  const std::string adversary(GetParam());
   const ScenarioSpec offline_spec = parity_spec(adversary, 33);
   const ScenarioReport offline = run_scenario(offline_spec);
   ASSERT_EQ(offline.detection_rate, 1.0) << adversary;
   ASSERT_EQ(offline.false_evidence, 0u) << adversary;
   ASSERT_EQ(offline.verify_failures, 0u) << adversary;
+  ASSERT_EQ(offline.audit_failures, 0u) << adversary;
   ASSERT_FALSE(offline.online);
+  ASSERT_FALSE(offline.evidence_digest.empty());
+  // Adversaries with declared wire slack stretch the settle horizon past
+  // this trace's span, so one tail flush is the CORRECT schedule for them —
+  // what they contribute here is the horizon-stress parity check.
+  const std::unique_ptr<AdversaryStrategy> strategy = make_adversary(adversary);
+  const bool has_wire_slack =
+      strategy->max_extra_delay() > 0 || strategy->max_replay_lag() > 0;
 
   for (const net::SimTime windows : {1u, 7u, 64u}) {
     for (const std::size_t workers : {1u, 2u, 8u}) {
@@ -60,37 +73,47 @@ TEST_P(OnlineParityTest, FingerprintMatchesOfflineAtEveryDrainScheduleAndWorkerC
       EXPECT_EQ(online.fingerprint(), offline.fingerprint())
           << adversary << " diverged at drain interval " << windows
           << " windows, " << workers << " workers";
+      EXPECT_EQ(online.evidence_digest, offline.evidence_digest)
+          << adversary << " applied evidence in another order at drain "
+          << "interval " << windows << " windows, " << workers << " workers";
       EXPECT_EQ(online.verify_failures, 0u);
       EXPECT_EQ(online.detection_rate, 1.0);
       EXPECT_EQ(online.false_evidence, 0u);
+      EXPECT_EQ(online.audit_failures, 0u);
       EXPECT_TRUE(online.online);
       EXPECT_GE(online.drain_batches, 1u);
-      if (windows == 1 && adversary != "delay_replay") {
+      if (windows == 1 && !has_wire_slack) {
         // A per-window drain cadence must actually interleave with the
         // simulation, not degenerate into one big tail flush.
-        // delay_replay is exempt: its declared wire slack puts the settle
-        // horizon (~436 ms of sim time) beyond this trace's span, so a
-        // single tail flush is the CORRECT schedule there — what it
-        // contributes to this test is the horizon-stress parity check.
         EXPECT_GT(online.drain_batches, 2u) << adversary;
       }
     }
   }
 }
 
-// delay_replay is the settle-horizon stress: gossip delayed up to its
-// declared per-message bound and stale roots re-injected a replay lag
-// later. An understated horizon would snapshot rounds too early and break
-// parity exactly here.
+// Every adversary. delay_replay and replay_relay are the settle-horizon
+// stress: gossip delayed up to its declared per-message bound and stale
+// roots re-injected a replay lag later. An understated horizon would
+// snapshot rounds too early and break parity exactly there.
 INSTANTIATE_TEST_SUITE_P(Adversaries, OnlineParityTest,
-                         ::testing::Values("equivocator", "batch_split",
-                                           "delay_replay", "honest"));
+                         ::testing::ValuesIn(adversary_names()));
 
 TEST(OnlinePipelineTest, RejectsZeroDrainInterval) {
   ScenarioSpec spec = parity_spec("honest", 1);
   spec.online = true;
   spec.drain_interval_us = 0;
   EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
+}
+
+// One verification order: the synchronous drain schedule is gone, and a
+// spec still asking for it is refused rather than silently pipelined.
+TEST(OnlinePipelineTest, RejectsTheRemovedSynchronousSchedule) {
+  for (const bool online : {false, true}) {
+    ScenarioSpec spec = parity_spec("honest", 1);
+    spec.online = online;
+    spec.pipelined = false;
+    EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
+  }
 }
 
 TEST(OnlinePipelineTest, ReportMarksOnlineModeAndJsonCarriesGatedFields) {

@@ -40,31 +40,39 @@ class TraceReplayTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(TraceReplayTest, ReplayMatchesRecordedFingerprintAtEveryWorkerCount) {
   const std::string adversary = GetParam();
-  const ScenarioSpec spec = replay_spec(adversary, 77);
+  // Offline and online recordings alike: both verify in window-close
+  // order, which the trace's window-close log carries to the replay.
+  for (const bool online : {false, true}) {
+    ScenarioSpec spec = replay_spec(adversary, 77);
+    spec.online = online;
+    const std::string label =
+        adversary + (online ? " online" : " offline") + " recording";
 
-  const ScenarioReport baseline = run_scenario(spec);
+    const ScenarioReport baseline = run_scenario(spec);
 
-  net::MessageTrace trace;
-  const ScenarioReport recorded = run_scenario(spec, &trace);
-  // Recording is observation only — it must not perturb the run.
-  EXPECT_EQ(recorded.fingerprint(), baseline.fingerprint());
-  EXPECT_EQ(recorded.evidence_digest, baseline.evidence_digest);
-  ASSERT_FALSE(trace.entries.empty());
-  EXPECT_EQ(trace.scenario, spec.name);
-  EXPECT_EQ(trace.seed, spec.seed);
-  EXPECT_EQ(trace.backend, "sim");
-  EXPECT_EQ(trace.stats.messages_delivered, trace.entries.size());
+    net::MessageTrace trace;
+    const ScenarioReport recorded = run_scenario(spec, &trace);
+    // Recording is observation only — it must not perturb the run.
+    EXPECT_EQ(recorded.fingerprint(), baseline.fingerprint()) << label;
+    EXPECT_EQ(recorded.evidence_digest, baseline.evidence_digest) << label;
+    ASSERT_FALSE(trace.entries.empty());
+    EXPECT_EQ(trace.scenario, spec.name);
+    EXPECT_EQ(trace.seed, spec.seed);
+    EXPECT_EQ(trace.backend, "sim");
+    EXPECT_EQ(trace.stats.messages_delivered, trace.entries.size());
+    EXPECT_GE(trace.closes.size(), recorded.rounds_started) << label;
 
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const ScenarioReport replayed = replay_trace(spec, trace, workers);
-    EXPECT_EQ(replayed.fingerprint(), baseline.fingerprint())
-        << adversary << " replay at " << workers << " workers";
-    // Offline verification applies evidence in arrival order on both
-    // sides, so the order-pinning digest must match too — a strictly
-    // stronger claim than the fingerprint's counts.
-    EXPECT_EQ(replayed.evidence_digest, baseline.evidence_digest)
-        << adversary << " replay at " << workers << " workers";
-    EXPECT_EQ(replayed.verify_failures, 0u);
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      const ScenarioReport replayed = replay_trace(spec, trace, workers);
+      EXPECT_EQ(replayed.fingerprint(), baseline.fingerprint())
+          << label << ", replay at " << workers << " workers";
+      // The replay flushes the recorded close log once, so every node
+      // applies its evidence in the recorded order — a strictly stronger
+      // claim than the fingerprint's counts.
+      EXPECT_EQ(replayed.evidence_digest, baseline.evidence_digest)
+          << label << ", replay at " << workers << " workers";
+      EXPECT_EQ(replayed.verify_failures, 0u);
+    }
   }
 }
 
@@ -83,6 +91,14 @@ TEST_P(TraceReplayTest, TraceSurvivesCodecRoundTrip) {
   EXPECT_EQ(decoded.backend, trace.backend);
   EXPECT_EQ(decoded.stats.bytes_sent, trace.stats.bytes_sent);
   EXPECT_EQ(decoded.provers.size(), trace.provers.size());
+  ASSERT_EQ(decoded.closes.size(), trace.closes.size());
+  for (std::size_t i = 0; i < trace.closes.size(); ++i) {
+    EXPECT_EQ(decoded.closes[i].at, trace.closes[i].at);
+    EXPECT_EQ(decoded.closes[i].prover, trace.closes[i].prover);
+    EXPECT_EQ(decoded.closes[i].epoch, trace.closes[i].epoch);
+    EXPECT_EQ(decoded.closes[i].prefix_address, trace.closes[i].prefix_address);
+    EXPECT_EQ(decoded.closes[i].prefix_length, trace.closes[i].prefix_length);
+  }
 
   const ScenarioReport replayed = replay_trace(spec, decoded, 2);
   EXPECT_EQ(replayed.fingerprint(), recorded.fingerprint());
